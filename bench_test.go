@@ -6,8 +6,8 @@
 // reproduction report:
 //
 //	Fig2a: bound-gap-ratio-V1e5 / -V1e6  (gap shrinks as V grows)
-//	Fig2b/c: final data backlogs, bounded (strong stability)
-//	Fig2d/e: final energy buffers, growing but capped
+//	Fig2bcde: final data backlogs, bounded (strong stability), and
+//	          final energy buffers, growing but capped — one run
 //	Fig2f: cost ratios of the three baselines over the proposed system
 package greencell_test
 
@@ -19,15 +19,11 @@ import (
 )
 
 // benchScenario is the paper scenario at a horizon that keeps a single
-// benchmark iteration in the tens-of-milliseconds range. Warm-started LP
-// solving is on — these benchmarks track the performance of the fast path
-// (docs/PERFORMANCE.md); BenchmarkWarmStartSlots keeps the cold/warm
-// comparison honest.
+// benchmark iteration in the tens-of-milliseconds range.
 func benchScenario() greencell.Scenario {
 	sc := greencell.PaperScenario()
 	sc.Slots = 40
 	sc.KeepTraces = true
-	sc.WarmStartLP = true
 	return sc
 }
 
@@ -53,105 +49,53 @@ func BenchmarkFig2aBounds(b *testing.B) {
 	b.ReportMetric(gapLarge/gapSmall, "gap-shrink-ratio")
 }
 
-// BenchmarkFig2bDataBacklogBS reproduces Fig. 2(b): the total base-station
-// data queue backlog over time under the proposed algorithm.
-func BenchmarkFig2bDataBacklogBS(b *testing.B) {
+// BenchmarkFig2bcde reproduces Fig. 2(b)–(e) from one run of the
+// proposed algorithm: the total base-station (b) and mobile-user (c) data
+// queue backlogs, and the total base-station (d) and mobile-user (e)
+// energy buffer levels, each reported at the end of the horizon.
+func BenchmarkFig2bcde(b *testing.B) {
 	sc := benchScenario()
-	var final float64
+	var res *greencell.Result
 	for i := 0; i < b.N; i++ {
-		res, err := greencell.Run(sc)
-		if err != nil {
+		var err error
+		if res, err = greencell.Run(sc); err != nil {
 			b.Fatal(err)
 		}
-		final = res.FinalDataBacklogBS
 	}
-	b.ReportMetric(final, "final-backlog-pkts")
+	b.ReportMetric(res.FinalDataBacklogBS, "bs-backlog-pkts")
+	b.ReportMetric(res.FinalDataBacklogUsers, "user-backlog-pkts")
+	b.ReportMetric(res.FinalBatteryWhBS.Wh(), "bs-buffer-Wh")
+	b.ReportMetric(res.FinalBatteryWhUsers.Wh(), "user-buffer-Wh")
 }
 
-// BenchmarkFig2cDataBacklogUsers reproduces Fig. 2(c): the total mobile-user
-// data queue backlog over time.
-func BenchmarkFig2cDataBacklogUsers(b *testing.B) {
-	sc := benchScenario()
-	var final float64
-	for i := 0; i < b.N; i++ {
-		res, err := greencell.Run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		final = res.FinalDataBacklogUsers
-	}
-	b.ReportMetric(final, "final-backlog-pkts")
-}
-
-// BenchmarkFig2dEnergyBufferBS reproduces Fig. 2(d): the total base-station
-// energy buffer (battery) level over time.
-func BenchmarkFig2dEnergyBufferBS(b *testing.B) {
-	sc := benchScenario()
-	var final float64
-	for i := 0; i < b.N; i++ {
-		res, err := greencell.Run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		final = res.FinalBatteryWhBS.Wh()
-	}
-	b.ReportMetric(final, "final-buffer-Wh")
-}
-
-// BenchmarkFig2eEnergyBufferUsers reproduces Fig. 2(e): the total mobile-user
-// energy buffer level over time.
-func BenchmarkFig2eEnergyBufferUsers(b *testing.B) {
-	sc := benchScenario()
-	var final float64
-	for i := 0; i < b.N; i++ {
-		res, err := greencell.Run(sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		final = res.FinalBatteryWhUsers.Wh()
-	}
-	b.ReportMetric(final, "final-buffer-Wh")
-}
-
-// BenchmarkWarmStartSlots compares the cold and warm LP paths on the same
-// slot sequence (the paper scenario driven by SequentialFix + S4). Besides
-// ns/op it reports the LP work per slot — solves, simplex iterations, and
-// for the warm path the warm-start/invalidation counts — which is what
-// BENCH_*.json tracks across PRs (docs/PERFORMANCE.md).
+// BenchmarkWarmStartSlots drives the paper scenario's slot sequence
+// (SequentialFix + S4) and reports, besides ns/op, the LP work per slot —
+// solves, simplex iterations, warm starts, and basis invalidations — which
+// is what BENCH_*.json tracks across PRs (docs/PERFORMANCE.md).
 func BenchmarkWarmStartSlots(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		warm bool
-	}{{"cold", false}, {"warm", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var iters, solves, warmed, invalidated, slots int
-			for i := 0; i < b.N; i++ {
-				sc := benchScenario()
-				sc.KeepTraces = false
-				sc.WarmStartLP = mode.warm
-				sc.Instrument = true
-				sc.SlotHook = func(sr *core.SlotResult) {
-					slots++
-					if st := sr.Stages; st != nil {
-						solves += st.SchedLPSolves + st.S4LPSolves
-						iters += st.SchedLPIterations + st.S4LPIterations
-						warmed += st.LPWarmStarts
-						invalidated += st.LPBasisInvalidations
-					}
-				}
-				if _, err := greencell.Run(sc); err != nil {
-					b.Fatal(err)
-				}
+	var iters, solves, warmed, invalidated, slots int
+	for i := 0; i < b.N; i++ {
+		sc := benchScenario()
+		sc.KeepTraces = false
+		sc.Instrument = true
+		sc.SlotHook = func(sr *core.SlotResult) {
+			slots++
+			if st := sr.Stages; st != nil {
+				solves += st.SchedLPSolves + st.S4LPSolves
+				iters += st.SchedLPIterations + st.S4LPIterations
+				warmed += st.LPWarmStarts
+				invalidated += st.LPBasisInvalidations
 			}
-			if slots > 0 {
-				b.ReportMetric(float64(iters)/float64(slots), "lp-iters/slot")
-				b.ReportMetric(float64(solves)/float64(slots), "lp-solves/slot")
-				if mode.warm {
-					b.ReportMetric(float64(warmed)/float64(slots), "warm-starts/slot")
-					b.ReportMetric(float64(invalidated)/float64(slots), "invalidations/slot")
-				}
-			}
-		})
+		}
+		if _, err := greencell.Run(sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if slots > 0 {
+		b.ReportMetric(float64(iters)/float64(slots), "lp-iters/slot")
+		b.ReportMetric(float64(solves)/float64(slots), "lp-solves/slot")
+		b.ReportMetric(float64(warmed)/float64(slots), "warm-starts/slot")
+		b.ReportMetric(float64(invalidated)/float64(slots), "invalidations/slot")
 	}
 }
 

@@ -58,7 +58,6 @@ func run(args []string) (err error) {
 		metricsCSV = fs.String("metrics-csv", "", "also write the metrics stream as CSV to this file (requires -metrics)")
 		metricsGap = fs.Bool("metrics-gap", false, "record the S1 heuristic-vs-LP-relaxation optimality gap each slot (roughly doubles S1 work)")
 		faults     = fs.Float64("faults", 0, "fault-injection probability per site per slot (deterministic by seed; docs/ROBUSTNESS.md)")
-		warmStart  = fs.Bool("warmstart", false, "carry LP warm-start state across slots (docs/PERFORMANCE.md)")
 		budgetIter = fs.Int("budget-iters", 0, "max simplex iterations per LP solve (0 = unlimited)")
 		deadline   = fs.Duration("deadline", 0, "per-slot wall-clock solve deadline (0 = none; overruns degrade, not fail)")
 		check      = fs.Bool("check", false, "validate every slot against the paper's per-slot invariants (eqs. (9)-(14), (22), (25), (30))")
@@ -117,8 +116,6 @@ func run(args []string) (err error) {
 				spec.SlotDeadlineMS = deadline.Milliseconds()
 			case "check":
 				spec.CheckInvariants = *check
-			case "warmstart":
-				spec.WarmStartLP = *warmStart
 			case "dist":
 				spec.Dist = *dist
 			case "net-loss":
@@ -170,7 +167,6 @@ func run(args []string) (err error) {
 	sc.Topology.NumUsers = *users
 	sc.Topology.MaxNeighbors = *neighbors
 	sc.CheckInvariants = sc.CheckInvariants || *check
-	sc.WarmStartLP = sc.WarmStartLP || *warmStart
 	sc.Budget = core.SolveBudget{MaxLPIterations: *budgetIter, SlotDeadline: *deadline}
 	if *faults > 0 {
 		cfg := faultinject.Uniform(*faults)

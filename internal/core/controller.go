@@ -79,14 +79,6 @@ type Config struct {
 	// Off by default: no clock reads or extra allocations happen on the
 	// control path when disabled.
 	Instrument bool
-	// WarmStartLP, when set, carries LP warm-start state across Step
-	// calls: S1 reuses the sequential-fix relaxation's basis between fix
-	// rounds and slots, and S4 keeps its inner programs alive so the
-	// golden-section budget probes re-solve by dual simplex
-	// (docs/PERFORMANCE.md). Off by default — the warm path may settle on
-	// a different vertex of a degenerate optimum, so the golden-pinned
-	// fixture runs cold.
-	WarmStartLP bool
 	// Env overrides how the per-slot random state is drawn (nil = the
 	// default stochastic environment). Tests and the offline-optimum
 	// comparison inject fixed realizations here.
@@ -257,8 +249,8 @@ type StageBreakdown struct {
 	// S4LPSolves / S4LPIterations are the energy-management LP work.
 	S4LPSolves, S4LPIterations int
 	// LPWarmStarts / LPBasisInvalidations aggregate the S1+S4 warm-start
-	// counters (zero unless Config.WarmStartLP); they feed the
-	// lp_warm_starts_total and lp_basis_invalidations_total metrics.
+	// counters; they feed the lp_warm_starts_total and
+	// lp_basis_invalidations_total metrics.
 	LPWarmStarts, LPBasisInvalidations int
 	// SchedObjective is Ψ̂1 = Σ_l H_l·c_l achieved by the S1 assignment.
 	SchedObjective float64
@@ -292,9 +284,8 @@ type Controller struct {
 	cfg   Config
 	sched sched.Scheduler
 
-	// warmSched / warmS4 carry LP bases across slots when
-	// Config.WarmStartLP is set; both stay nil otherwise, which keeps the
-	// solvers on their cold, golden-pinned paths.
+	// warmSched / warmS4 carry the S1 and S4 LP bases across slots
+	// (docs/PERFORMANCE.md).
 	warmSched *sched.WarmState
 	warmS4    *energymgmt.WarmState
 
@@ -352,13 +343,14 @@ func New(cfg Config) (*Controller, error) {
 		}
 	}
 
-	c := &Controller{cfg: cfg, sched: cfg.Scheduler}
+	c := &Controller{
+		cfg:       cfg,
+		sched:     cfg.Scheduler,
+		warmSched: &sched.WarmState{},
+		warmS4:    &energymgmt.WarmState{},
+	}
 	if c.sched == nil {
 		c.sched = sched.SequentialFix{}
-	}
-	if cfg.WarmStartLP {
-		c.warmSched = &sched.WarmState{}
-		c.warmS4 = &energymgmt.WarmState{}
 	}
 
 	net := cfg.Net

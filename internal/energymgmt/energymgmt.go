@@ -98,9 +98,9 @@ type Decision struct {
 	LPSolves     int
 	LPIterations int
 	// WarmStarts / BasisInvalidations count warm-started inner solves and
-	// reused bases discarded for a cold rebuild. Both stay zero unless the
-	// request carried a WarmState; they feed the lp_warm_starts_total and
-	// lp_basis_invalidations_total metrics (docs/METRICS.md).
+	// reused bases discarded for a cold rebuild; they feed the
+	// lp_warm_starts_total and lp_basis_invalidations_total metrics
+	// (docs/METRICS.md).
 	WarmStarts         int
 	BasisInvalidations int
 }
@@ -121,11 +121,9 @@ type Request struct {
 	// controller falls back to the greedy safe-action energy split
 	// (docs/ROBUSTNESS.md).
 	MaxLPIterations int
-	// Warm, when non-nil, carries LP warm-start state across Solve calls
-	// (docs/PERFORMANCE.md): the per-node and joint base-station programs
-	// stay alive with their factorized bases, are refreshed in place each
-	// slot, and the golden-section budget probes re-solve by dual simplex
-	// instead of from scratch. nil keeps the cold, golden-pinned path.
+	// Warm carries the inner programs' LP bases from one Solve call to the
+	// next (WarmState, docs/PERFORMANCE.md). nil means a fresh state for
+	// this call only.
 	Warm *WarmState
 }
 
@@ -185,11 +183,11 @@ func Solve(req *Request) (*Decision, error) {
 		}
 	}
 
-	if req.Warm != nil {
-		if err := req.Warm.solveInto(req, dec, bs, pen, pMax.Wh()); err != nil {
-			return nil, err
-		}
-	} else if err := solveCold(req, dec, bs, pen, pMax); err != nil {
+	warm := req.Warm
+	if warm == nil {
+		warm = &WarmState{}
+	}
+	if err := warm.solveInto(req, dec, bs, pen, pMax); err != nil {
 		return nil, err
 	}
 
@@ -263,78 +261,24 @@ func SafeDecision(req *Request) *Decision {
 	return dec
 }
 
-// solveCold runs the one-shot S4 path: independent per-node LPs plus the
-// golden-section search over the base-station draw budget, each inner
-// problem built fresh. Two per-call presolve caches absorb the reduction
-// rebuild across the probes — lp.PresolveCache is bit-identical to a fresh
-// presolve by construction, which is what keeps this path safe under the
-// golden metrics fixture.
-func solveCold(req *Request, dec *Decision, bs []int, pen float64, pMax units.Energy) error {
-	var nodeCache, bsCache lp.PresolveCache
-
-	// Non-base-station nodes: independent LPs (their grid is outside f).
-	for i, n := range req.Nodes {
-		if n.IsBS {
-			continue
-		}
-		//lint:allow hotalloc -- the one-element node set is keyed into the presolve cache; reusing a buffer would alias cache entries
-		nd, _, iters, err := solveNodes(req, []int{i}, math.Inf(1), pen, false, &nodeCache)
-		if err != nil {
-			return err
-		}
-		dec.LPSolves++
-		dec.LPIterations += iters
-		dec.Nodes[i] = nd[i]
-	}
-
-	// Base stations: golden-section over the total-draw budget T; the inner
-	// LP value is convex non-increasing in T and V·f(T) convex increasing.
-	if len(bs) == 0 {
-		return nil
-	}
-	value := func(T float64) (float64, error) {
-		_, inner, iters, err := solveNodes(req, bs, T, pen, true, &bsCache)
-		if err != nil {
-			return 0, err
-		}
-		dec.LPSolves++
-		dec.LPIterations += iters
-		return inner + req.V*req.Cost.Eval(units.Wh(T)).Value(), nil
-	}
-	tStar, err := goldenSection(value, 0, pMax.Wh())
-	if err != nil {
-		return err
-	}
-	nds, _, iters, err := solveNodes(req, bs, tStar, pen, true, &bsCache)
-	if err != nil {
-		return err
-	}
-	dec.LPSolves++
-	dec.LPIterations += iters
-	for _, i := range bs {
-		dec.Nodes[i] = nds[i]
-	}
-	return nil
-}
-
 // nodeVars holds one node's LP variable handles, in the order buildNodesLP
 // adds them.
 type nodeVars struct{ r, cr, g, cg, d, u lp.VarID }
 
 // buildNodesLP constructs the relaxed joint LP over the given nodes, with
 // the total-grid-draw budget row appended last (when budgeted is true and
-// budget is finite). The row layout is fixed: four constraints per node in
-// nodes order — renew, chargecap, gridcap, demand — so row 4k+j addresses
-// node k's j-th constraint; the warm path relies on this to refresh
-// right-hand sides in place.
-func buildNodesLP(req *Request, nodes []int, budget, pen float64, budgeted bool) (*lp.Problem, map[int]nodeVars) {
+// budget is finite). It returns the variable handles in nodes order. The
+// row layout is fixed — four constraints per node in nodes order (renew,
+// chargecap, gridcap, demand), then the budget row — so a basis exported
+// for one slot's program fits the next slot's over the same node set.
+func buildNodesLP(req *Request, nodes []int, budget, pen float64, budgeted bool) (*lp.Problem, []nodeVars) {
 	p := lp.NewProblem(lp.Minimize)
 	p.SetIterationLimit(req.MaxLPIterations)
 	inf := math.Inf(1)
-	vs := make(map[int]nodeVars, len(nodes))
+	vs := make([]nodeVars, len(nodes))
 
 	budgetTerms := make([]lp.Term, 0, 2*len(nodes))
-	for _, i := range nodes {
+	for k, i := range nodes {
 		n := req.Nodes[i]
 		gridCap := 0.0
 		if n.GridConnected {
@@ -349,7 +293,7 @@ func buildNodesLP(req *Request, nodes []int, budget, pen float64, budgeted bool)
 			d:  p.AddVar("d", 0, n.DischargeHeadroomWh.Wh(), -z),
 			u:  p.AddVar("u", 0, inf, pen),
 		}
-		vs[i] = v
+		vs[k] = v
 		// (3) with spill allowed: r + c^r ≤ R.
 		p.AddConstraint("renew", lp.LE, n.RenewableWh.Wh(),
 			lp.Term{Var: v.r, Coef: 1}, lp.Term{Var: v.cr, Coef: 1})
@@ -372,29 +316,6 @@ func buildNodesLP(req *Request, nodes []int, budget, pen float64, budgeted bool)
 		p.AddConstraint("budget", lp.LE, budget, budgetTerms...)
 	}
 	return p, vs
-}
-
-// solveNodes optimizes the relaxed per-node decisions of the given nodes
-// jointly under an optional total-grid-draw budget (applied when budgeted is
-// true and budget is finite). It returns the decisions (indexed like
-// req.Nodes; untouched entries are zero), the LP objective value, and the
-// simplex iterations spent. A non-nil cache memoizes the presolve analysis
-// across calls of identical structure without changing any result.
-func solveNodes(req *Request, nodes []int, budget, pen float64, budgeted bool, cache *lp.PresolveCache) ([]NodeDecision, float64, int, error) {
-	p, vs := buildNodesLP(req, nodes, budget, pen, budgeted)
-	sol, err := mapOutcome(p.SolveCached(cache))
-	if err != nil {
-		iters := 0
-		if sol != nil {
-			iters = sol.Iterations
-		}
-		return nil, 0, iters, err
-	}
-	out := make([]NodeDecision, len(req.Nodes))
-	for _, i := range nodes {
-		out[i] = decisionFrom(sol, vs[i])
-	}
-	return out, sol.Objective, sol.Iterations, nil
 }
 
 // mapOutcome translates an inner-LP result onto the package's error

@@ -7,186 +7,116 @@ import (
 	"greencell/internal/units"
 )
 
-// WarmState carries S4's LP warm-start state across Solve calls on behalf
-// of a controller that solves the same network slot after slot. Instead of
-// rebuilding every inner problem from scratch, the state keeps one live
-// lp.WarmSolver per non-base-station node plus one for the joint
-// base-station program, and each slot refreshes their bounds, costs, and
-// right-hand sides in place:
+// WarmState carries S4's LP bases across Solve calls on behalf of a
+// controller that solves the same network slot after slot. It holds
+// exported lp.Basis snapshots only — one per non-base-station node and one
+// for the joint base-station program — never a live engine, so what it
+// keeps alive between slots is a few index slices per program. Each Solve
+// builds its programs with buildNodesLP, imports the matching snapshot,
+// and exports the final basis back:
 //
 //   - the joint base-station program always carries the total-draw budget
-//     row, so every golden-section probe is an RHS-only edit re-solved by
-//     dual simplex on the factorized basis — the dominant win, since the
-//     search makes ~85 probes per slot;
-//   - per-node programs change only in z-driven costs and headroom bounds,
-//     which the warm solver classifies per slot (reusing the basis when it
-//     stays primal or dual feasible, falling back cold otherwise).
+//     row, and the golden-section search runs every budget probe as an
+//     RHS-only edit on one lp.WarmSolver, re-solved by dual simplex from
+//     the previous probe's basis — the dominant win, since the search
+//     makes ~85 probes per slot;
+//   - per-node programs change only in z-driven costs, headroom bounds,
+//     and right-hand sides between slots, so the imported basis is a good
+//     first guess that the solver validates (falling back cold when it no
+//     longer fits).
 //
-// A change in the node count or base-station membership rebuilds the
-// programs (the basis layout is frozen per structure); toggling grid
-// connectivity is an RHS edit and keeps them. The warm path can land on a
-// different vertex of a degenerate optimum than the cold path, so it is
-// opt-in and never used on the golden-pinned fixture run.
+// A snapshot whose structure no longer matches (the base-station set
+// changed) is discarded and counted as a basis invalidation; toggling grid
+// connectivity is an RHS edit and keeps it. A Request without a WarmState
+// solves against a fresh one, which still warm-starts the probes within
+// that call.
 //
 // The zero value is ready to use. A WarmState is not safe for concurrent
 // use; use one per controller.
 type WarmState struct {
-	nNodes  int
-	isBS    []bool
-	perNode []*warmProg
-	bs      *warmProg
+	perNode []*lp.Basis // indexed like Request.Nodes; nil for base stations
+	bs      *lp.Basis
 }
 
-// warmProg is one persistent inner program: the mutable problem, the warm
-// solver holding its live engine, the node set and variable handles for
-// refresh/extraction, and counter snapshots so each slot's Decision gets
-// per-call deltas out of the solver's cumulative stats.
-type warmProg struct {
-	prob      *lp.Problem
-	ws        *lp.WarmSolver
-	nodes     []int
-	vs        map[int]nodeVars
-	budgetRow int // index of the total-draw budget row; -1 when absent
-
-	seenWarm, seenInv int
+// harvest exports the solver's final basis into slot (keeping the old
+// snapshot when there is nothing exportable) and folds the solver's
+// counters into the decision.
+func harvest(ws *lp.WarmSolver, slot **lp.Basis, dec *Decision) {
+	if b := ws.ExportBasis(); b != nil {
+		*slot = b
+	}
+	warm, inv := ws.Stats()
+	dec.WarmStarts += warm
+	dec.BasisInvalidations += inv
 }
 
-// refresh re-points the program at this slot's node states: per node, the
-// z-driven costs, the discharge-headroom bound, the deficit penalty, and
-// the four per-node right-hand sides (buildNodesLP's fixed row layout).
-func (pr *warmProg) refresh(req *Request, pen float64) {
-	p := pr.prob
-	p.SetIterationLimit(req.MaxLPIterations)
-	for k, i := range pr.nodes {
-		n := req.Nodes[i]
-		gridCap := 0.0
-		if n.GridConnected {
-			gridCap = n.GridCapWh.Wh()
-		}
-		z := n.Z.Wh()
-		v := pr.vs[i]
-		p.SetVarCost(v.cr, z)
-		p.SetVarCost(v.cg, z)
-		p.SetVarCost(v.d, -z)
-		p.SetVarBounds(v.d, 0, n.DischargeHeadroomWh.Wh())
-		p.SetVarCost(v.u, pen)
-		base := 4 * k
-		p.SetConstraintRHS(base, n.RenewableWh.Wh())
-		p.SetConstraintRHS(base+1, n.ChargeHeadroomWh.Wh())
-		p.SetConstraintRHS(base+2, gridCap)
-		p.SetConstraintRHS(base+3, n.DemandWh.Wh())
-	}
-}
-
-// harvest folds the solver's counter deltas since the last harvest into
-// the decision.
-func (pr *warmProg) harvest(dec *Decision) {
-	warm, inv := pr.ws.Stats()
-	dec.WarmStarts += warm - pr.seenWarm
-	dec.BasisInvalidations += inv - pr.seenInv
-	pr.seenWarm, pr.seenInv = warm, inv
-}
-
-// shapeMatches reports whether the persistent programs still fit the
-// request's node set.
-func (w *WarmState) shapeMatches(req *Request) bool {
-	if w.nNodes != len(req.Nodes) {
-		return false
-	}
-	for i, n := range req.Nodes {
-		if w.isBS[i] != n.IsBS {
-			return false
-		}
-	}
-	return true
-}
-
-// rebuild constructs fresh programs for the request's node set: one
-// single-node program per non-base-station node, and one joint program
-// over all base stations with the budget row appended (its RHS is reset
-// before every solve, so the initial value is immaterial).
-func (w *WarmState) rebuild(req *Request, bs []int, pen, pMax float64) {
-	w.nNodes = len(req.Nodes)
-	w.isBS = make([]bool, len(req.Nodes))
-	w.perNode = make([]*warmProg, len(req.Nodes))
-	w.bs = nil
-	for i, n := range req.Nodes {
-		w.isBS[i] = n.IsBS
-		if n.IsBS {
-			continue
-		}
-		//lint:allow hotalloc -- rebuild is a rare shape-change path and both slices are retained by the warmProg
-		prob, vs := buildNodesLP(req, []int{i}, math.Inf(1), pen, false)
-		w.perNode[i] = &warmProg{
-			prob: prob, ws: lp.NewWarmSolver(prob),
-			//lint:allow hotalloc -- retained: warmProg keeps its node set for the lifetime of the warm state
-			nodes: []int{i}, vs: vs, budgetRow: -1,
-		}
-	}
-	if len(bs) > 0 {
-		prob, vs := buildNodesLP(req, bs, pMax, pen, true)
-		w.bs = &warmProg{
-			prob: prob, ws: lp.NewWarmSolver(prob),
-			nodes: bs, vs: vs, budgetRow: 4 * len(bs),
-		}
-	}
-}
-
-// solveInto is the warm counterpart of solveCold: same decomposition
-// (independent non-BS nodes, then golden-section over the base-station
-// draw budget), same probe sequence and error vocabulary, but every inner
-// solve goes through the persistent warm solvers.
-func (w *WarmState) solveInto(req *Request, dec *Decision, bs []int, pen, pMax float64) error {
-	if !w.shapeMatches(req) {
-		w.rebuild(req, bs, pen, pMax)
+// solveInto runs the S4 decomposition: independent LPs for the
+// non-base-station nodes, then the golden-section search over the
+// base-station draw budget. Every inner solve goes through an
+// lp.WarmSolver seeded from the state's snapshots.
+func (w *WarmState) solveInto(req *Request, dec *Decision, bs []int, pen float64, pMax units.Energy) error {
+	if len(w.perNode) != len(req.Nodes) {
+		w.perNode = make([]*lp.Basis, len(req.Nodes))
 	}
 
+	// Non-base-station nodes: independent LPs (their grid is outside f).
+	one := make([]int, 1)
 	for i, n := range req.Nodes {
 		if n.IsBS {
+			w.perNode[i] = nil
 			continue
 		}
-		pr := w.perNode[i]
-		pr.refresh(req, pen)
-		sol, err := mapOutcome(pr.ws.Solve())
-		pr.harvest(dec)
+		one[0] = i
+		p, vs := buildNodesLP(req, one, math.Inf(1), pen, false)
+		ws := lp.NewWarmSolver(p)
+		ws.ImportBasis(w.perNode[i])
+		sol, err := mapOutcome(ws.Solve())
+		harvest(ws, &w.perNode[i], dec)
 		if err != nil {
 			return err
 		}
 		dec.LPSolves++
 		dec.LPIterations += sol.Iterations
-		dec.Nodes[i] = decisionFrom(sol, pr.vs[i])
+		dec.Nodes[i] = decisionFrom(sol, vs[0])
 	}
 
-	if w.bs == nil {
+	// Base stations: golden-section over the total-draw budget T; the inner
+	// LP value is convex non-increasing in T and V·f(T) convex increasing.
+	if len(bs) == 0 {
 		return nil
 	}
-	pr := w.bs
-	pr.refresh(req, pen)
-	value := func(T float64) (float64, error) {
-		pr.prob.SetConstraintRHS(pr.budgetRow, T)
-		sol, err := mapOutcome(pr.ws.Solve())
+	p, vs := buildNodesLP(req, bs, pMax.Wh(), pen, true)
+	budgetRow := p.NumConstraints() - 1
+	ws := lp.NewWarmSolver(p)
+	ws.ImportBasis(w.bs)
+	solveAt := func(T float64) (*lp.Solution, error) {
+		p.SetConstraintRHS(budgetRow, T)
+		sol, err := mapOutcome(ws.Solve())
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		dec.LPSolves++
 		dec.LPIterations += sol.Iterations
+		return sol, nil
+	}
+	value := func(T float64) (float64, error) {
+		sol, err := solveAt(T)
+		if err != nil {
+			return 0, err
+		}
 		return sol.Objective + req.V*req.Cost.Eval(units.Wh(T)).Value(), nil
 	}
-	tStar, err := goldenSection(value, 0, pMax)
-	if err != nil {
-		pr.harvest(dec)
-		return err
+	tStar, err := goldenSection(value, 0, pMax.Wh())
+	var sol *lp.Solution
+	if err == nil {
+		sol, err = solveAt(tStar)
 	}
-	pr.prob.SetConstraintRHS(pr.budgetRow, tStar)
-	sol, err := mapOutcome(pr.ws.Solve())
-	pr.harvest(dec)
+	harvest(ws, &w.bs, dec)
 	if err != nil {
 		return err
 	}
-	dec.LPSolves++
-	dec.LPIterations += sol.Iterations
-	for _, i := range pr.nodes {
-		dec.Nodes[i] = decisionFrom(sol, pr.vs[i])
+	for k, i := range bs {
+		dec.Nodes[i] = decisionFrom(sol, vs[k])
 	}
 	return nil
 }

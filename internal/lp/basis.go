@@ -64,8 +64,8 @@ func (p *Problem) StructureSignature() uint64 {
 // Matches reports whether the snapshot was taken from a problem whose
 // structure signature equals p's — the precondition for ImportBasis to
 // accept it. Callers with one-solve-per-structure workloads (no fixing
-// rounds) use it to decide between a warm-started revised solve and the
-// cheaper presolved cold path before committing to either.
+// rounds) use it to decide between a warm-started solve and the cheaper
+// presolved one-shot Problem.Solve before committing to either.
 func (b *Basis) Matches(p *Problem) bool {
 	return b != nil && b.sig == p.StructureSignature()
 }

@@ -25,9 +25,13 @@ func budgetProblem() *Problem {
 }
 
 func TestIterationBudget(t *testing.T) {
-	for _, eng := range []Engine{TableauEngine, RevisedEngine} {
+	solvers := map[string]func(*Problem) (*Solution, error){
+		"dense": solveDense, "revised": (*Problem).Solve,
+	}
+	for _, eng := range []string{"dense", "revised"} {
+		solve := solvers[eng]
 		p := budgetProblem()
-		free, err := p.SolveWith(eng)
+		free, err := solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +43,7 @@ func TestIterationBudget(t *testing.T) {
 		}
 
 		p.SetIterationLimit(1)
-		sol, err := p.SolveWith(eng)
+		sol, err := solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +56,7 @@ func TestIterationBudget(t *testing.T) {
 
 		// A budget at least as large as the free solve must not bite.
 		p.SetIterationLimit(free.Iterations)
-		sol, err = p.SolveWith(eng)
+		sol, err = solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,13 +23,12 @@
 // A one-shot Solve runs presolve (fixed-variable substitution, empty-row
 // elimination) and then the two-phase primal simplex: phase 1 drives
 // artificial variables out of the basis to find a feasible point, phase 2
-// optimizes the real objective. Two engines implement identical semantics
-// — the dense full-tableau engine (the default) and a revised simplex
-// holding an explicit basis inverse over sparse columns — and are
-// cross-validated against each other in the test suite.
+// optimizes the real objective. One engine implements it: a revised
+// simplex holding an explicit basis inverse over sparse columns. The test
+// suite cross-validates it against a dense full-tableau reference.
 //
 // Repeated solves of the same Problem after small edits should go through
-// a WarmSolver instead. It keeps the revised engine (columns, basis, and
+// a WarmSolver instead. It keeps the engine (columns, basis, and
 // factorized basis inverse) alive between Solve calls and classifies each
 // re-solve by what the edit preserved:
 //
@@ -335,36 +334,30 @@ func (s *Solution) Values() []float64 {
 	return out
 }
 
-// Engine selects a simplex implementation.
-type Engine int
-
-// Available engines.
-const (
-	// TableauEngine is the dense full-tableau simplex (the default):
-	// simple, O(m·n) per pivot.
-	TableauEngine Engine = iota
-	// RevisedEngine maintains an explicit basis inverse over sparse
-	// columns: O(nnz) pricing + O(m²) updates, faster when n ≫ m.
-	RevisedEngine
-)
-
-// Solve optimizes with the default engine. An error is returned only for
+// Solve optimizes the problem from scratch. An error is returned only for
 // structurally invalid input; solver outcomes (infeasible, unbounded,
 // iteration limit) are reported via Solution.Status.
-func (p *Problem) Solve() (*Solution, error) { return p.SolveWith(TableauEngine) }
-
-// SolveWith optimizes the problem with the chosen engine. Both engines
-// implement identical bounded-variable simplex semantics and are
-// cross-validated in the test suite.
-func (p *Problem) SolveWith(engine Engine) (*Solution, error) {
+func (p *Problem) Solve() (*Solution, error) {
 	if sol, err := p.validateForSolve(); sol != nil || err != nil {
 		return sol, err
 	}
 
 	// Presolve: substitute fixed variables and drop rows that become
-	// empty. The scheduler's sequential-fix loop pins more variables each
-	// round, so this shrinks its LPs substantially.
-	return p.solvePresolved(engine, presolve(p))
+	// empty. Branch-and-bound (internal/bip) pins more variables at every
+	// node, so this shrinks its LPs substantially.
+	ps := presolve(p)
+	if ps.infeasible {
+		return &Solution{Status: Infeasible}, nil
+	}
+	if !ps.identity {
+		sol, err := ps.reduced.Solve()
+		if err != nil {
+			return nil, err
+		}
+		return ps.expand(p, sol), nil
+	}
+	e := newRevised(p)
+	return p.solution(e, e.solve()), nil
 }
 
 // validateForSolve checks the problem for structural validity. It returns
@@ -402,50 +395,22 @@ func (p *Problem) validateForSolve() (*Solution, error) {
 	return nil, nil
 }
 
-// solvePresolved runs the engine on the already-presolved problem and maps
-// the reduced solution back to p's variable space.
-func (p *Problem) solvePresolved(engine Engine, ps *presolved) (*Solution, error) {
-	if ps.infeasible {
-		return &Solution{Status: Infeasible}, nil
-	}
-	if !ps.identity {
-		sol, err := ps.reduced.SolveWith(engine)
-		if err != nil {
-			return nil, err
-		}
-		return ps.expand(p, sol), nil
-	}
-
-	var (
-		status Status
-		iters  int
-		values func() []float64
-		duals  func(float64) []float64
-	)
-	if engine == RevisedEngine {
-		e := newRevised(p)
-		status = e.solve()
-		iters = e.iters
-		values, duals = e.structuralValues, e.duals
-	} else {
-		t := newTableau(p)
-		status = t.solve()
-		iters = t.iters
-		values, duals = t.structuralValues, t.duals
-	}
-	sol := &Solution{Status: status, Iterations: iters}
-	if status == Optimal {
+// solution assembles the Solution of an engine that ended with status st
+// on p: iterations always, values, duals, and objective when optimal.
+func (p *Problem) solution(e *revisedEngine, st Status) *Solution {
+	sol := &Solution{Status: st, Iterations: e.iters}
+	if st == Optimal {
 		sign := 1.0
 		if p.sense == Maximize {
 			sign = -1.0
 		}
-		sol.y = duals(sign)
-		sol.x = values()
+		sol.y = e.duals(sign)
+		sol.x = e.structuralValues()
 		obj := 0.0
 		for j, v := range p.vars {
 			obj += v.cost * sol.x[j]
 		}
 		sol.Objective = obj
 	}
-	return sol, nil
+	return sol
 }

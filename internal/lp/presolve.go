@@ -24,9 +24,10 @@ type presolved struct {
 
 // presolve substitutes fixed variables (lo == hi) out of the problem and
 // drops rows that become empty, checking their consistency. These are the
-// only transformations applied: they shrink the sequential-fix scheduler's
-// LPs (which pin more variables each round) while leaving every remaining
-// row's dual multiplier unchanged, so dual recovery needs no adjustment.
+// only transformations applied: they shrink the one-shot LPs of
+// branch-and-bound (which pins more variables at every node) while leaving
+// every remaining row's dual multiplier unchanged, so dual recovery needs
+// no adjustment.
 func presolve(p *Problem) *presolved {
 	ps := &presolved{
 		varMap:   make([]int, len(p.vars)),

@@ -87,11 +87,11 @@ func TestPresolveEquivalence(t *testing.T) {
 				p.SetVarBounds(id, x0[j], x0[j])
 			}
 		}
-		a, err := p.SolveWith(TableauEngine)
+		a, err := solveDense(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := p.SolveWith(RevisedEngine)
+		b, err := p.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,18 +2,32 @@ package lp
 
 import "math"
 
-// revisedEngine is the second simplex implementation: a revised simplex
-// with an explicitly maintained dense basis inverse (refactorized
-// periodically) over column-sparse constraint storage.
-//
-// Its purpose in this repository is cross-validation, not speed: the two
-// engines are deliberately independent implementations of the same
-// bounded-variable simplex semantics, and the test suite solves thousands
-// of random LPs with both and requires agreement — the defense against
-// subtle pivoting bugs in either. (On the scheduling-shaped instances the
-// per-iteration O(nnz) pricing is outweighed by the refactorization and
-// relative-tolerance overhead, so the tableau engine stays the default;
-// see the Engine benchmarks.)
+// Numerical tolerances for the simplex engine.
+const (
+	priceTol = 1e-9  // reduced-cost tolerance for optimality
+	pivTol   = 1e-9  // smallest acceptable pivot magnitude
+	feasTol  = 1e-7  // phase-1 residual tolerance for feasibility
+	boundEps = 1e-12 // slack when clamping values onto bounds
+)
+
+// priceScaleFloor sets the smallest pricing denominator relative to the
+// largest active cost magnitude (see priceFloor).
+const priceScaleFloor = 1e-6
+
+type colStatus int8
+
+const (
+	atLower colStatus = iota
+	atUpper
+	basic
+)
+
+// revisedEngine is the simplex implementation behind every solve: a
+// bounded-variable revised simplex with an explicitly maintained dense
+// basis inverse (refactorized periodically) over column-sparse constraint
+// storage. Pricing is O(nnz) per iteration and a pivot is an O(m²) rank-one
+// update of the inverse. The test suite cross-validates it against a dense
+// full-tableau reference on thousands of random LPs.
 type revisedEngine struct {
 	m    int // rows
 	n    int // structural columns
@@ -218,10 +232,9 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 	return e, rhs, slackOf
 }
 
-// newRevised mirrors newTableau's setup: equality form, equilibrated rows,
-// slacks, artificials, initial basis. Columns are built directly in sparse
-// form — no dense staging matrix — with the same per-row arithmetic order
-// as the dense construction, so the two produce bit-identical engines.
+// newRevised builds a cold engine: equality form, equilibrated rows,
+// slacks, artificials, and the slack/artificial starting basis. Columns are
+// built directly in sparse form, with no dense staging matrix.
 func newRevised(p *Problem) *revisedEngine {
 	e, rhs, slackOf := newEngineShell(p)
 	m, n := e.m, e.n
@@ -413,6 +426,7 @@ func (e *revisedEngine) iterate() Status {
 	// Mid-solve primal bases are not dual feasible; snap restores the flag
 	// when the solve ends at a verified optimum.
 	e.dualClean = false
+	floor := e.priceFloor()
 	pivots := 0
 	for iter := 0; iter < maxIter; iter++ {
 		bland := iter >= blandAfter
@@ -424,7 +438,9 @@ func (e *revisedEngine) iterate() Status {
 		// Price and choose entering. Reduced costs are recomputed from y
 		// every iteration, so the optimality test must be RELATIVE to the
 		// magnitudes involved — with 1e7-scale objective coefficients the
-		// float noise in c_j − y·A_j dwarfs any absolute tolerance.
+		// float noise in c_j − y·A_j dwarfs any absolute tolerance. The
+		// floor keeps the test relative for columns whose own cost and
+		// y·A_j are both near zero (a slack on a non-binding row).
 		q := -1
 		best := priceTol
 		for j := 0; j < e.ncol; j++ {
@@ -433,7 +449,7 @@ func (e *revisedEngine) iterate() Status {
 			}
 			dot := e.colDot(j, e.y)
 			dj := e.cvec[j] - dot
-			denom := 1 + math.Abs(e.cvec[j]) + math.Abs(dot)
+			denom := math.Max(1+math.Abs(e.cvec[j])+math.Abs(dot), floor)
 			var score float64
 			if e.status[j] == atLower {
 				score = -dj / denom
@@ -904,13 +920,14 @@ func (e *revisedEngine) primalFeasible() bool {
 // precondition for re-solving with dual simplex after RHS or bound edits.
 func (e *revisedEngine) dualFeasible() bool {
 	e.computeY()
+	floor := e.priceFloor()
 	for j := 0; j < e.ncol; j++ {
 		if e.status[j] == basic || e.hi[j]-e.lo[j] <= boundEps {
 			continue
 		}
 		dot := e.colDot(j, e.y)
 		dj := e.cvec[j] - dot
-		denom := 1 + math.Abs(e.cvec[j]) + math.Abs(dot)
+		denom := math.Max(1+math.Abs(e.cvec[j])+math.Abs(dot), floor)
 		if e.status[j] == atLower {
 			if -dj/denom > dualFeasTol {
 				return false
@@ -924,6 +941,25 @@ func (e *revisedEngine) dualFeasible() bool {
 	return true
 }
 
+// priceFloor is the smallest denominator the reduced-cost tests divide
+// by: priceScaleFloor times the largest active cost magnitude. A reduced
+// cost d_j = c_j − y·A_j carries float noise proportional to the objective
+// scale (y is c_B·B⁻¹), not to the column's own |c_j| + |y·A_j|. Without
+// the floor, a zero-cost slack on a non-binding row (dual ≈ 0) has a
+// denominator near 1, so noise of order 1e-7 on a 1e10-scale objective
+// passes priceTol and the slack re-enters forever with non-degenerate
+// steps that Bland's rule cannot stop. In phase 1 the costs are 0/1 and
+// the floor never binds.
+func (e *revisedEngine) priceFloor() float64 {
+	mx := 0.0
+	for _, c := range e.cvec {
+		if a := math.Abs(c); a > mx {
+			mx = a
+		}
+	}
+	return priceScaleFloor * mx
+}
+
 // dualIterate runs bounded-variable dual simplex from a dual-feasible
 // basis: each iteration drives the most-violated basic variable out to its
 // nearest bound, with the entering column chosen by the dual ratio test so
@@ -932,6 +968,9 @@ func (e *revisedEngine) dualFeasible() bool {
 // polish), Infeasible when a violated row admits no entering column (the
 // dual is unbounded), or IterationLimit on the caller's budget or the
 // safety cap.
+//
+// The dual ratio test compares |d_j|/|α_j| with no sign tolerance, so the
+// cost-scale noise that priceFloor absorbs in pricing cannot make it loop.
 func (e *revisedEngine) dualIterate() Status {
 	maxIter := 200*(e.m+e.ncol) + 2000
 	blandAfter := 40 * (e.m + e.ncol)
@@ -1113,8 +1152,8 @@ func (e *revisedEngine) structuralValues() []float64 {
 	return x
 }
 
-// duals mirrors the tableau engine's recovery, reading the multipliers
-// directly from y at optimality.
+// duals reads the simplex multipliers directly from y at optimality,
+// mapped back through the row equilibration and flips.
 func (e *revisedEngine) duals(sign float64) []float64 {
 	// Recompute y for the final basis under phase-2 costs.
 	for i := range e.y {

@@ -162,7 +162,7 @@ func (w *WarmSolver) warmAttempt(e *revisedEngine) (*Solution, bool) {
 	if st == Optimal {
 		w.eng = e
 		w.warmStarts++
-		return w.buildSolution(e, st), true
+		return w.p.solution(e, st), true
 	}
 	if st == IterationLimit && e.limit > 0 && e.iters >= e.limit {
 		// The caller's budget, not the safety cap: report it faithfully,
@@ -191,26 +191,7 @@ func (w *WarmSolver) cold(prior int) (*Solution, error) {
 	} else {
 		w.eng = nil
 	}
-	sol := w.buildSolution(e, st)
+	sol := w.p.solution(e, st)
 	sol.Iterations += prior
 	return sol, nil
-}
-
-// buildSolution mirrors the one-shot solve's solution assembly.
-func (w *WarmSolver) buildSolution(e *revisedEngine, st Status) *Solution {
-	sol := &Solution{Status: st, Iterations: e.iters}
-	if st == Optimal {
-		sign := 1.0
-		if w.p.sense == Maximize {
-			sign = -1.0
-		}
-		sol.y = e.duals(sign)
-		sol.x = e.structuralValues()
-		obj := 0.0
-		for j, v := range w.p.vars {
-			obj += v.cost * sol.x[j]
-		}
-		sol.Objective = obj
-	}
-	return sol
 }

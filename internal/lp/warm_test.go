@@ -34,11 +34,17 @@ func mutateForWarm(src *rng.Source, p *Problem) {
 	}
 }
 
-// requireWarmMatchesCold solves p warm and its clone cold and requires
-// agreement on status and (at optimality) objective, plus feasibility of
-// the warm solution.
+// requireWarmMatchesCold solves p warm and requires agreement on status
+// and (at optimality) objective with two references, plus feasibility of
+// the warm solution: the dense tableau (an independent engine, so a flaw
+// the warm and cold revised paths share cannot pass) and a cold solve of a
+// clone through the production path.
 func requireWarmMatchesCold(t *testing.T, ws *WarmSolver, label string) {
 	t.Helper()
+	dense, err := solveDense(ws.Problem().Clone())
+	if err != nil {
+		t.Fatalf("%s: dense solve: %v", label, err)
+	}
 	cold, err := ws.Problem().Clone().Solve()
 	if err != nil {
 		t.Fatalf("%s: cold solve: %v", label, err)
@@ -47,17 +53,24 @@ func requireWarmMatchesCold(t *testing.T, ws *WarmSolver, label string) {
 	if err != nil {
 		t.Fatalf("%s: warm solve: %v", label, err)
 	}
-	if warm.Status != cold.Status {
-		t.Fatalf("%s: status warm=%v cold=%v", label, warm.Status, cold.Status)
+	for _, ref := range []struct {
+		name string
+		sol  *Solution
+	}{{"dense", dense}, {"cold", cold}} {
+		if warm.Status != ref.sol.Status {
+			t.Fatalf("%s: status warm=%v %s=%v", label, warm.Status, ref.name, ref.sol.Status)
+		}
+		if warm.Status != Optimal {
+			continue
+		}
+		tol := 1e-6 * (1 + math.Abs(ref.sol.Objective))
+		if math.Abs(warm.Objective-ref.sol.Objective) > tol {
+			t.Fatalf("%s: objective warm=%v %s=%v", label, warm.Objective, ref.name, ref.sol.Objective)
+		}
 	}
-	if warm.Status != Optimal {
-		return
+	if warm.Status == Optimal {
+		checkFeasible(t, ws.Problem(), warm)
 	}
-	tol := 1e-6 * (1 + math.Abs(cold.Objective))
-	if math.Abs(warm.Objective-cold.Objective) > tol {
-		t.Fatalf("%s: objective warm=%v cold=%v", label, warm.Objective, cold.Objective)
-	}
-	checkFeasible(t, ws.Problem(), warm)
 }
 
 // TestWarmColdAgreeOnRandomMutations is the warm-start property test: a
@@ -278,61 +291,5 @@ func TestStructureSignatureInvariance(t *testing.T) {
 	c.AddConstraint("r3", LE, 1, Term{VarID(0), 1})
 	if a.StructureSignature() == c.StructureSignature() {
 		t.Fatal("added constraint kept the structure signature")
-	}
-}
-
-// TestPresolveCacheBitIdentical requires cached and uncached solves to be
-// literally indistinguishable — same status, bit-equal objective and
-// values, same iteration count — across repeated value edits (cache hits)
-// and a fixed-pattern change (cache miss and refill).
-func TestPresolveCacheBitIdentical(t *testing.T) {
-	src := rng.New(4242)
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + src.Intn(6)
-		m := 1 + src.Intn(6)
-		p, _, ids := feasibleRandomLP(src, n, m, Minimize)
-		// Fix a couple of variables so presolve has real work to cache.
-		for j := 0; j < n; j++ {
-			if src.Bernoulli(0.4) {
-				v := src.Uniform(-1, 1)
-				p.SetVarBounds(ids[j], v, v)
-			}
-		}
-		var cache PresolveCache
-		for round := 0; round < 6; round++ {
-			want, err := p.Clone().Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.SolveCached(&cache)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Status != want.Status || got.Iterations != want.Iterations {
-				t.Fatalf("trial %d round %d: cached (status=%v iters=%d) vs fresh (status=%v iters=%d)",
-					trial, round, got.Status, got.Iterations, want.Status, want.Iterations)
-			}
-			if want.Status == Optimal {
-				if math.Float64bits(got.Objective) != math.Float64bits(want.Objective) {
-					t.Fatalf("trial %d round %d: objective differs in bits: %v vs %v",
-						trial, round, got.Objective, want.Objective)
-				}
-				gx, wx := got.Values(), want.Values()
-				for j := range wx {
-					if math.Float64bits(gx[j]) != math.Float64bits(wx[j]) {
-						t.Fatalf("trial %d round %d var %d: %v vs %v", trial, round, j, gx[j], wx[j])
-					}
-				}
-			}
-			// Value edits only: next round is a cache hit.
-			for i := 0; i < p.NumConstraints(); i++ {
-				p.SetConstraintRHS(i, p.ConstraintRHS(i)+src.Uniform(-0.3, 0.3))
-			}
-			if round == 3 {
-				// Change the fixed pattern: forces a miss and refill.
-				lo, _ := p.VarBounds(ids[0])
-				p.SetVarBounds(ids[0], lo, lo+1)
-			}
-		}
 	}
 }

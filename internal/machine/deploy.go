@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"sort"
 
 	"greencell/internal/core"
 	"greencell/internal/faultinject"
@@ -106,6 +107,8 @@ type Deployment struct {
 	ideal   bool
 	started bool
 	report  NetReport
+	// delivLog is foldDelivered's scratch, reused across slots.
+	delivLog []sinkDelivery
 }
 
 // NewDeployment validates the configuration and builds the machines.
@@ -240,6 +243,7 @@ func (d *Deployment) Step() (*core.SlotResult, error) {
 			return nil, nm.Err()
 		}
 	}
+	d.foldDelivered()
 	res := d.coord.lastRes
 	if res == nil {
 		return nil, fmt.Errorf("machine: slot %d produced no decision", t)
@@ -282,6 +286,35 @@ func (d *Deployment) fold(st SlotNetStats) {
 	d.report.NodeClamps += st.NodeClamps
 }
 
+// foldDelivered adds the slot's sink arrivals, read from the node
+// machines, to the ground-truth delivery total. It sums in the monolith's
+// order — per session over its links in ascending order (the controller's
+// DeliveredPkts[s]), then session by session (sim.Run's total) — so a
+// perfect-network run reproduces the monolith's DeliveredPkts bit for bit
+// rather than merely to rounding.
+func (d *Deployment) foldDelivered() {
+	log := d.delivLog[:0]
+	for _, nm := range d.nodes {
+		if nm != nil {
+			log = append(log, nm.sinkLog...)
+		}
+	}
+	sort.SliceStable(log, func(a, b int) bool {
+		if log[a].sess != log[b].sess {
+			return log[a].sess < log[b].sess
+		}
+		return log[a].link < log[b].link
+	})
+	for k := 0; k < len(log); {
+		s, sum := log[k].sess, 0.0
+		for ; k < len(log) && log[k].sess == s; k++ {
+			sum += log[k].pkts
+		}
+		d.report.TrueDeliveredPkts += sum
+	}
+	d.delivLog = log
+}
+
 // Report returns the run's aggregated network report, with the ground
 // truth collected directly from the node machines.
 func (d *Deployment) Report() *NetReport {
@@ -290,7 +323,6 @@ func (d *Deployment) Report() *NetReport {
 		if nm == nil {
 			continue
 		}
-		r.TrueDeliveredPkts += nm.cumDelivered
 		r.TrueDeficitWh += nm.cumDeficitWh
 	}
 	return &r

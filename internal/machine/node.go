@@ -63,6 +63,7 @@ type NodeMachine struct {
 	inbox []PacketTransfer
 
 	cumDelivered  float64
+	sinkLog       []sinkDelivery // this slot's sink arrivals, in settle order
 	cumDeficitWh  units.Energy
 	cumClamps     int
 	cumMissedCmds int
@@ -278,6 +279,13 @@ func (m *NodeMachine) execute() []Message {
 	return msgs
 }
 
+// sinkDelivery is one in-link transfer's packets of one session that
+// reached the session's sink.
+type sinkDelivery struct {
+	link, sess int
+	pkts       float64
+}
+
 // settle closes the slot: arrivals (in-link transfers, then admission)
 // are folded into the queues against the executed services, and the
 // energy command is applied to the real battery through the physical
@@ -286,6 +294,7 @@ func (m *NodeMachine) settle() {
 	// Arrivals in ascending in-link order — the monolith's
 	// arrivals[To] += a accumulation order.
 	sort.Slice(m.inbox, func(a, b int) bool { return m.inbox[a].Link < m.inbox[b].Link })
+	m.sinkLog = m.sinkLog[:0]
 	for _, tr := range m.inbox {
 		for s, a := range tr.Pkts {
 			if a == 0 {
@@ -293,6 +302,7 @@ func (m *NodeMachine) settle() {
 			}
 			if m.isSinkNode(s, int(m.id)) {
 				m.cumDelivered += a
+				m.sinkLog = append(m.sinkLog, sinkDelivery{link: tr.Link, sess: s, pkts: a})
 			} else {
 				m.arr[s] += a
 			}

@@ -28,8 +28,11 @@ const SchemaName = "greencell.metrics"
 // 5 registered the distributed controller's net_* summary counters
 // (docs/DISTRIBUTED.md) — emitted only by distributed runs over a
 // non-ideal network, so monolithic and perfect-network streams differ
-// from v4 only in this version field.
-const SchemaVersion = 5
+// from v4 only in this version field; 6 moved every LP solve onto the
+// single revised engine with warm-starting always on — no field changed,
+// but LP-backed values differ, and the warm-start counters are no longer
+// zero by default.
+const SchemaVersion = 6
 
 // Header is the first record of every metrics stream: it pins the schema
 // version and the run's identifying parameters, so a stream is

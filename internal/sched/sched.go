@@ -57,11 +57,11 @@ type Request struct {
 	// on which the controller falls back to the idle safe action
 	// (docs/ROBUSTNESS.md).
 	MaxLPIterations int
-	// Warm, when non-nil, lets the LP-backed strategies (SequentialFix,
-	// Relaxed) warm-start their solves from the previous fixing round and
-	// the previous slot's exported basis, and records the next basis back
-	// into it. nil (the default) keeps the cold path bit-identical to the
-	// golden fixture. See WarmState and docs/PERFORMANCE.md.
+	// Warm carries the LP-backed strategies' (SequentialFix, Relaxed) bases
+	// from one Schedule call to the next: each solve imports the previous
+	// slot's exported basis and records the next one back into it. nil
+	// means a fresh state for this call only. See WarmState and
+	// docs/PERFORMANCE.md.
 	Warm *WarmState
 }
 
@@ -83,9 +83,8 @@ type SolveStats struct {
 	LPIterations int
 	// WarmStarts counts LP solves that reused a prior basis; and
 	// BasisInvalidations counts prior bases discarded for a cold rebuild
-	// (structure change or failed reuse). Both stay zero unless the
-	// request carried a WarmState (lp_warm_starts_total /
-	// lp_basis_invalidations_total in docs/METRICS.md).
+	// (structure change or failed reuse). They feed lp_warm_starts_total
+	// and lp_basis_invalidations_total (docs/METRICS.md).
 	WarmStarts         int
 	BasisInvalidations int
 }
@@ -383,13 +382,11 @@ func (SequentialFix) Schedule(req *Request) (*Assignment, error) {
 	chosen := make([]bool, len(pairs))
 	fixedZero := make([]bool, len(pairs))
 	var stats SolveStats
-	// Warm mode: one live engine for the whole fixing loop (each round is
-	// a bound-only edit the engine re-solves with dual simplex), seeded
-	// from the previous slot's basis when the pair structure matches.
-	var ws *lp.WarmSolver
-	if req.Warm != nil {
-		ws = warmSolve(prob, req.Warm.sf)
-	}
+	// One live engine for the whole fixing loop (each round is a
+	// bound-only edit the engine re-solves with dual simplex), seeded from
+	// the previous slot's basis when the pair structure matches.
+	warm := req.warmState()
+	ws := warmSolve(prob, warm.sf)
 
 	// nodeBusy counts the radio slots claimed by fixed-to-one pairs;
 	// constraint (22) forces pairs touching exhausted nodes to zero.
@@ -461,13 +458,7 @@ func (SequentialFix) Schedule(req *Request) (*Assignment, error) {
 		if remaining == 0 {
 			break
 		}
-		var sol *lp.Solution
-		var err error
-		if ws != nil {
-			sol, err = ws.Solve()
-		} else {
-			sol, err = prob.Solve()
-		}
+		sol, err := ws.Solve()
 		if err != nil {
 			return nil, fmt.Errorf("sched: sequential-fix LP: %w", err)
 		}
@@ -527,9 +518,7 @@ func (SequentialFix) Schedule(req *Request) (*Assignment, error) {
 			}
 		}
 	}
-	if ws != nil {
-		harvest(ws, &req.Warm.sf, &stats)
-	}
+	harvest(ws, &warm.sf, &stats)
 	asg := finalize(req, pairs, chosen)
 	asg.Stats = stats
 	return asg, nil
@@ -663,24 +652,22 @@ func (Relaxed) Schedule(req *Request) (*Assignment, error) {
 	prob, ids := buildLP(req, pairs)
 	var sol *lp.Solution
 	var err error
-	switch {
-	case req.Warm != nil && (req.Warm.relaxed == nil || req.Warm.relaxed.Matches(prob)):
+	if warm := req.warmState(); warm.relaxed == nil || warm.relaxed.Matches(prob) {
 		// No prior basis (bootstrap a warm-startable engine once) or the
 		// pair structure repeats: solve through the warm engine.
-		ws := warmSolve(prob, req.Warm.relaxed)
+		ws := warmSolve(prob, warm.relaxed)
 		sol, err = ws.Solve()
 		if err == nil {
-			harvest(ws, &req.Warm.relaxed, &asg.Stats)
+			harvest(ws, &warm.relaxed, &asg.Stats)
 		}
-	case req.Warm != nil:
+	} else {
 		// The candidate-pair structure moved away from the saved basis.
-		// A revised-engine cold solve only to re-export a basis that the
-		// next slot would most likely invalidate again is slower than the
-		// presolved cold path, so take the cheap route and keep the saved
-		// basis — a future slot with matching structure can still use it.
+		// A warm-engine cold solve only to re-export a basis that the next
+		// slot would most likely invalidate again is slower than the
+		// presolved one-shot solve, so take the cheap route and keep the
+		// saved basis — a future slot with matching structure can still
+		// use it.
 		asg.Stats.BasisInvalidations++
-		sol, err = prob.Solve()
-	default:
 		sol, err = prob.Solve()
 	}
 	if err != nil {

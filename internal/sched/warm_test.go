@@ -21,9 +21,9 @@ func slotWeights(src *rng.Source, n int) []float64 {
 }
 
 // TestRelaxedWarmMatchesCold runs the relaxed (pure-LP) scheduler across a
-// sequence of slots with and without warm-starting. The relaxed objective
-// is a unique LP optimum up to degeneracy, so the two trajectories must
-// match it slot for slot.
+// sequence of slots with a WarmState carried across them and with a fresh
+// state per call. The relaxed objective is a unique LP optimum up to
+// degeneracy, so the two trajectories must match it slot for slot.
 func TestRelaxedWarmMatchesCold(t *testing.T) {
 	src := rng.New(61)
 	net := testNet(t, src, 6)
@@ -37,7 +37,7 @@ func TestRelaxedWarmMatchesCold(t *testing.T) {
 		for l := range weights {
 			weights[l] = src.Uniform(1e3, 5e5)
 		}
-		cold, err := (Relaxed{}).Schedule(&Request{Net: net, Widths: widths, Weights: weights})
+		fresh, err := (Relaxed{}).Schedule(&Request{Net: net, Widths: widths, Weights: weights})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,9 +45,12 @@ func TestRelaxedWarmMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		co, ho := cold.Objective(weights), hot.Objective(weights)
-		if tol := 1e-6 * (1 + math.Abs(co)); math.Abs(co-ho) > tol {
-			t.Fatalf("slot %d: relaxed objective cold=%v warm=%v", slot, co, ho)
+		fo, ho := fresh.Objective(weights), hot.Objective(weights)
+		if tol := 1e-6 * (1 + math.Abs(fo)); math.Abs(fo-ho) > tol {
+			t.Fatalf("slot %d: relaxed objective fresh=%v carried=%v", slot, fo, ho)
+		}
+		if fresh.Stats.WarmStarts != 0 || fresh.Stats.BasisInvalidations != 0 {
+			t.Fatalf("slot %d: a fresh state reused a basis: %+v", slot, fresh.Stats)
 		}
 		warmed += hot.Stats.WarmStarts
 	}
@@ -57,7 +60,7 @@ func TestRelaxedWarmMatchesCold(t *testing.T) {
 }
 
 // TestSequentialFixWarmFeasibleAndCounted drives the SF heuristic through
-// slots with warm state attached: every assignment must stay feasible
+// slots with a WarmState carried across them: every assignment must stay feasible
 // under the full checker, and the fixing rounds after the first must
 // warm-start (they are bound-only edits on one live engine).
 func TestSequentialFixWarmFeasibleAndCounted(t *testing.T) {
@@ -83,11 +86,12 @@ func TestSequentialFixWarmFeasibleAndCounted(t *testing.T) {
 	}
 }
 
-// TestSequentialFixWarmObjectiveClose compares warm and cold SF end to
-// end. SF is a rounding heuristic on top of the LP, so exact equality is
-// not guaranteed when the warm engine lands on a different degenerate
-// vertex — but on a fixed seed the schedules' objectives must stay within
-// a few percent, and this pin catches any gross divergence.
+// TestSequentialFixWarmObjectiveClose compares SF with a carried state
+// against SF with a fresh state per call, end to end. SF is a rounding
+// heuristic on top of the LP, so exact equality is not guaranteed when an
+// imported basis leads the engine to a different degenerate vertex — but
+// on a fixed seed the schedules' objectives must stay within a few
+// percent, and this pin catches any gross divergence.
 func TestSequentialFixWarmObjectiveClose(t *testing.T) {
 	src := rng.New(63)
 	net := testNet(t, src, 5)
@@ -95,7 +99,7 @@ func TestSequentialFixWarmObjectiveClose(t *testing.T) {
 	warm := &WarmState{}
 	for slot := 0; slot < 10; slot++ {
 		weights := slotWeights(src, len(net.Links))
-		cold, err := (SequentialFix{}).Schedule(&Request{Net: net, Widths: widths, Weights: weights})
+		fresh, err := (SequentialFix{}).Schedule(&Request{Net: net, Widths: widths, Weights: weights})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,9 +107,9 @@ func TestSequentialFixWarmObjectiveClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		co, ho := cold.Objective(weights), hot.Objective(weights)
-		if tol := 0.05 * (1 + math.Abs(co)); math.Abs(co-ho) > tol {
-			t.Fatalf("slot %d: SF objective cold=%v warm=%v", slot, co, ho)
+		fo, ho := fresh.Objective(weights), hot.Objective(weights)
+		if tol := 0.05 * (1 + math.Abs(fo)); math.Abs(fo-ho) > tol {
+			t.Fatalf("slot %d: SF objective fresh=%v carried=%v", slot, fo, ho)
 		}
 	}
 }

@@ -20,6 +20,26 @@ import (
 	"greencell/internal/sim"
 )
 
+// TestJournalReplaysRemovedSpecField replays a journal written before the
+// warm_start_lp spec field was removed: replay decodes leniently, so the
+// old submission comes back with the field dropped instead of failing the
+// daemon's recovery.
+func TestJournalReplaysRemovedSpecField(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	line := `{"event":"submitted","id":"job-000001","req":{"spec":{"slots":2,"seed":3,"warm_start_lp":true}}}` + "\n"
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := loadJournal(path)
+	if err != nil {
+		t.Fatalf("loadJournal: %v", err)
+	}
+	if len(entries) != 1 || entries[0].Req == nil ||
+		entries[0].Req.Spec.Slots != 2 || entries[0].Req.Spec.Seed != 3 {
+		t.Fatalf("replayed entries %+v", entries)
+	}
+}
+
 // TestDaemonJournalTruncationEveryByte sweeps every crash-mid-append
 // outcome of a journal holding one job per lifecycle state.
 func TestDaemonJournalTruncationEveryByte(t *testing.T) {

@@ -422,6 +422,18 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("invalid spec: status %d body %s", resp.StatusCode, body)
 	}
 
+	// A spec field that no longer exists (LP warm-starting is always on
+	// now): 400 naming it, not a silently ignored knob.
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"spec":{"warm_start_lp":true}}`))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	body = readAll(t, resp)
+	if resp.StatusCode != 400 || !strings.Contains(body, "warm_start_lp") {
+		t.Fatalf("removed spec field: status %d body %s", resp.StatusCode, body)
+	}
+
 	// Unknown request field: 400 naming it.
 	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"sped":{}}`))
 	if err != nil {

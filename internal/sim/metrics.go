@@ -181,7 +181,7 @@ func (r *Recorder) SlotHook(sr *core.SlotResult) {
 		r.cS4Solves.Add(float64(st.S4LPSolves))
 		r.cS4Its.Add(float64(st.S4LPIterations))
 		// Warm-start counters register on demand, like the per-cause
-		// degradation counters: cold runs (the golden fixture among them)
+		// degradation counters: runs that never reuse or discard a basis
 		// never emit them.
 		if st.LPWarmStarts > 0 {
 			r.reg.Counter("lp_warm_starts_total", "solves",

@@ -119,11 +119,6 @@ type Scenario struct {
 	// work counts each slot (see core.Config.Instrument). Recorder.Attach
 	// sets it; SlotHook consumers read the breakdown.
 	Instrument bool `json:"instrument,omitempty"`
-	// WarmStartLP carries LP warm-start state across slots (see
-	// core.Config.WarmStartLP and docs/PERFORMANCE.md): much faster on the
-	// LP-heavy schedulers, but allowed to land on different degenerate
-	// vertices than the cold path, so the golden fixture leaves it off.
-	WarmStartLP bool `json:"warm_start_lp,omitempty"`
 	// SlotHook, when non-nil, observes every slot result as the run
 	// progresses (trace recording, live dashboards). The pointee must not
 	// be retained past the call.
@@ -316,7 +311,6 @@ func buildConfig(sc Scenario) (core.Config, *topology.Network, *traffic.Model, e
 		TrackDelay:  sc.TrackDelay,
 		AuditDrift:  sc.AuditDrift,
 		Instrument:  sc.Instrument,
-		WarmStartLP: sc.WarmStartLP,
 		Check:       check,
 		Faults:      inj,
 		Budget:      sc.Budget,

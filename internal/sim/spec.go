@@ -47,9 +47,6 @@ type ScenarioSpec struct {
 
 	TrackDelay      bool `json:"track_delay,omitempty"`
 	CheckInvariants bool `json:"check_invariants,omitempty"`
-	// WarmStartLP carries LP warm-start state across slots
-	// (Scenario.WarmStartLP, docs/PERFORMANCE.md).
-	WarmStartLP bool `json:"warm_start_lp,omitempty"`
 
 	// FaultProb fires every injection site uniformly at this probability;
 	// Faults sets per-site probabilities (overriding FaultProb site-wise).
@@ -266,7 +263,6 @@ func (s ScenarioSpec) Scenario() (Scenario, error) {
 	}
 	sc.TrackDelay = sc.TrackDelay || s.TrackDelay
 	sc.CheckInvariants = sc.CheckInvariants || s.CheckInvariants
-	sc.WarmStartLP = sc.WarmStartLP || s.WarmStartLP
 	if s.FaultProb > 0 || len(s.Faults) > 0 {
 		cfg := faultinject.Uniform(s.FaultProb)
 		for _, site := range sortedKeys(s.Faults) {
