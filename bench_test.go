@@ -70,10 +70,11 @@ func BenchmarkFig2bcde(b *testing.B) {
 
 // BenchmarkWarmStartSlots drives the paper scenario's slot sequence
 // (SequentialFix + S4) and reports, besides ns/op, the LP work per slot —
-// solves, simplex iterations, warm starts, and basis invalidations — which
-// is what BENCH_*.json tracks across PRs (docs/PERFORMANCE.md).
+// solves and simplex iterations, in total and split into S1 and S4, warm
+// starts, and basis invalidations — which is what BENCH_*.json tracks
+// across PRs (docs/PERFORMANCE.md).
 func BenchmarkWarmStartSlots(b *testing.B) {
-	var iters, solves, warmed, invalidated, slots int
+	var s1Iters, s1Solves, s4Iters, s4Solves, warmed, invalidated, slots int
 	for i := 0; i < b.N; i++ {
 		sc := benchScenario()
 		sc.KeepTraces = false
@@ -81,8 +82,10 @@ func BenchmarkWarmStartSlots(b *testing.B) {
 		sc.SlotHook = func(sr *core.SlotResult) {
 			slots++
 			if st := sr.Stages; st != nil {
-				solves += st.SchedLPSolves + st.S4LPSolves
-				iters += st.SchedLPIterations + st.S4LPIterations
+				s1Solves += st.SchedLPSolves
+				s1Iters += st.SchedLPIterations
+				s4Solves += st.S4LPSolves
+				s4Iters += st.S4LPIterations
 				warmed += st.LPWarmStarts
 				invalidated += st.LPBasisInvalidations
 			}
@@ -92,10 +95,15 @@ func BenchmarkWarmStartSlots(b *testing.B) {
 		}
 	}
 	if slots > 0 {
-		b.ReportMetric(float64(iters)/float64(slots), "lp-iters/slot")
-		b.ReportMetric(float64(solves)/float64(slots), "lp-solves/slot")
-		b.ReportMetric(float64(warmed)/float64(slots), "warm-starts/slot")
-		b.ReportMetric(float64(invalidated)/float64(slots), "invalidations/slot")
+		perSlot := func(n int) float64 { return float64(n) / float64(slots) }
+		b.ReportMetric(perSlot(s1Iters+s4Iters), "lp-iters/slot")
+		b.ReportMetric(perSlot(s1Solves+s4Solves), "lp-solves/slot")
+		b.ReportMetric(perSlot(s1Iters), "s1-lp-iters/slot")
+		b.ReportMetric(perSlot(s1Solves), "s1-lp-solves/slot")
+		b.ReportMetric(perSlot(s4Iters), "s4-lp-iters/slot")
+		b.ReportMetric(perSlot(s4Solves), "s4-lp-solves/slot")
+		b.ReportMetric(perSlot(warmed), "warm-starts/slot")
+		b.ReportMetric(perSlot(invalidated), "invalidations/slot")
 	}
 }
 

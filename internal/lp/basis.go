@@ -141,13 +141,10 @@ func newRevisedFromBasis(p *Problem, b *Basis) *revisedEngine {
 	e.bvec = make([]float64, e.m)
 	copy(e.bvec, rhs)
 	e.xB = make([]float64, e.m)
-	e.binv = make([][]float64, e.m)
-	for i := range e.binv {
-		e.binv[i] = make([]float64, e.m)
-		e.binv[i][i] = 1
-	}
+	e.binv = make([][]float64, e.m) // all implicit until refactorize fills them
 	e.y = make([]float64, e.m)
 	e.dir = make([]float64, e.m)
+	e.pivNZ = make([]int, 0, e.m)
 	e.cvec = make([]float64, e.ncol)
 	if !e.refactorize() {
 		return nil

@@ -55,9 +55,15 @@ func presolve(p *Problem) *presolved {
 		}
 		ps.varMap[j] = int(red.AddVar(v.name, v.lo, v.hi, v.cost))
 	}
+	// One scratch row serves every reduced row: AddConstraint copies its
+	// terms.
+	maxTerms := 0
+	for _, c := range p.cons {
+		maxTerms = max(maxTerms, len(c.terms))
+	}
+	terms := make([]Term, 0, maxTerms)
 	for i, c := range p.cons {
-		//lint:allow hotalloc -- not scratch: AddConstraint retains the slice in the reduced problem
-		terms := make([]Term, 0, len(c.terms))
+		terms = terms[:0]
 		rhs := c.rhs
 		for _, t := range c.terms {
 			if rj := ps.varMap[t.Var]; rj >= 0 {

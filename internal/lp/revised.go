@@ -23,11 +23,14 @@ const (
 )
 
 // revisedEngine is the simplex implementation behind every solve: a
-// bounded-variable revised simplex with an explicitly maintained dense
-// basis inverse (refactorized periodically) over column-sparse constraint
-// storage. Pricing is O(nnz) per iteration and a pivot is an O(m²) rank-one
-// update of the inverse. The test suite cross-validates it against a dense
-// full-tableau reference on thousands of random LPs.
+// bounded-variable revised simplex with an explicitly maintained basis
+// inverse (refactorized periodically) over column-sparse constraint
+// storage. Pricing is O(nnz) per iteration. The inverse is held by rows
+// that start implicit (unit rows) and become dense arrays on first write,
+// and a pivot updates each row the entering column touches only where the
+// pivot row is nonzero, so a pivot costs the nonzeros it combines rather
+// than m². The test suite cross-validates it against a dense full-tableau
+// reference on thousands of random LPs.
 type revisedEngine struct {
 	m    int // rows
 	n    int // structural columns
@@ -35,7 +38,9 @@ type revisedEngine struct {
 
 	// cols[j] is column j of the setup matrix A in sparse form.
 	cols []sparseCol
-	// binv is the dense basis inverse B^{-1}.
+	// binv is the basis inverse B^{-1} by rows. A nil row is the unit row
+	// e_i: rows start implicit and are materialized by binvRow on first
+	// write, and every reader treats a nil row as e_i.
 	binv [][]float64
 	// cost is the phase-2 objective (sense-adjusted to minimize).
 	cost []float64
@@ -82,6 +87,7 @@ type revisedEngine struct {
 	// Scratch buffers reused across iterations.
 	y         []float64   // simplex multipliers
 	dir       []float64   // B^{-1} A_q
+	pivNZ     []int       // nonzero columns of the scaled pivot row
 	cvec      []float64   // active-phase cost vector
 	resid     []float64   // rhs residual for recomputeXB
 	refacWork [][]float64 // m×2m Gauss-Jordan workspace for refactorize
@@ -124,10 +130,35 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 		sign = -1.0
 	}
 
+	// Column storage is carved from two slabs sized by a counting pass:
+	// each variable's term count (duplicates included) bounds its entries,
+	// and every slack column holds one. take hands out an empty column
+	// with room for k entries.
+	nnzOf := make([]int, n)
+	total := 0
+	for _, c := range p.cons {
+		for _, t := range c.terms {
+			nnzOf[t.Var]++
+		}
+		total += len(c.terms)
+		if c.rel != EQ {
+			total++
+		}
+	}
+	idxSlab, valSlab := make([]int, total), make([]float64, total)
+	take := func(k int) sparseCol {
+		c := sparseCol{idx: idxSlab[:0:k], val: valSlab[:0:k]}
+		idxSlab, valSlab = idxSlab[k:], valSlab[k:]
+		return c
+	}
+
 	// Structural columns straight from the constraint terms, duplicate
 	// variables summed in place (lastRow/lastPos find a duplicate of the
 	// current row in O(1) because terms arrive row by row).
 	e.cols = make([]sparseCol, n, n+2*m)
+	for j, k := range nnzOf {
+		e.cols[j] = take(k)
+	}
 	lastRow := make([]int, n)
 	lastPos := make([]int, n)
 	for j := range lastRow {
@@ -201,15 +232,6 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 		e.status[j] = atLower
 		e.xval[j] = lo
 	}
-	addCol := func(lo, hi, cost float64) int {
-		e.lo = append(e.lo, lo)
-		e.hi = append(e.hi, hi)
-		e.cost = append(e.cost, cost)
-		e.status = append(e.status, atLower)
-		e.xval = append(e.xval, lo)
-		e.cols = append(e.cols, sparseCol{})
-		return len(e.status) - 1
-	}
 
 	// Slack columns, in row order: the canonical column layout a Basis
 	// snapshot refers to is structural 0..n−1 followed by these.
@@ -220,16 +242,28 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 	for i, c := range p.cons {
 		switch c.rel {
 		case LE:
-			j := addCol(0, math.Inf(1), 0)
+			j := e.addCol(0, math.Inf(1), 0, take(1))
 			e.cols[j].add(i, 1)
 			slackOf[i] = j
 		case GE:
-			j := addCol(0, math.Inf(1), 0)
+			j := e.addCol(0, math.Inf(1), 0, take(1))
 			e.cols[j].add(i, -1)
 			slackOf[i] = j
 		}
 	}
 	return e, rhs, slackOf
+}
+
+// addCol appends a nonbasic column at its lower bound and returns its
+// index.
+func (e *revisedEngine) addCol(lo, hi, cost float64, col sparseCol) int {
+	e.lo = append(e.lo, lo)
+	e.hi = append(e.hi, hi)
+	e.cost = append(e.cost, cost)
+	e.status = append(e.status, atLower)
+	e.xval = append(e.xval, lo)
+	e.cols = append(e.cols, col)
+	return len(e.status) - 1
 }
 
 // newRevised builds a cold engine: equality form, equilibrated rows,
@@ -238,15 +272,6 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 func newRevised(p *Problem) *revisedEngine {
 	e, rhs, slackOf := newEngineShell(p)
 	m, n := e.m, e.n
-	addCol := func(lo, hi, cost float64) int {
-		e.lo = append(e.lo, lo)
-		e.hi = append(e.hi, hi)
-		e.cost = append(e.cost, cost)
-		e.status = append(e.status, atLower)
-		e.xval = append(e.xval, lo)
-		e.cols = append(e.cols, sparseCol{})
-		return len(e.status) - 1
-	}
 	flip := make([]bool, m)
 
 	// Initial basis: slack where its value is admissible, else artificial,
@@ -290,7 +315,7 @@ func newRevised(p *Problem) *revisedEngine {
 			flip[i] = !flip[i]
 			r = -r
 		}
-		j := addCol(0, math.Inf(1), 0)
+		j := e.addCol(0, math.Inf(1), 0, sparseCol{})
 		// The artificial enters post-flip with +1.
 		e.cols[j].add(i, 1)
 		e.status[j] = basic
@@ -325,15 +350,13 @@ func newRevised(p *Problem) *revisedEngine {
 	e.ncol = len(e.status)
 
 	// Identity basis inverse: after the row flips every initial basic
-	// column (slack or artificial) carries +1 on its own row, so B = I.
+	// column (slack or artificial) carries +1 on its own row, so B = I,
+	// every row implicit.
 	e.binv = make([][]float64, m)
-	for i := range e.binv {
-		e.binv[i] = make([]float64, m)
-		e.binv[i][i] = 1
-	}
 
 	e.y = make([]float64, m)
 	e.dir = make([]float64, m)
+	e.pivNZ = make([]int, 0, m)
 	e.cvec = make([]float64, e.ncol)
 	e.syncJournal(p) // built from p's current state: pending edits covered
 	return e
@@ -349,19 +372,69 @@ func (e *revisedEngine) colDot(j int, v []float64) float64 {
 	return sum
 }
 
+// binvRow returns row i of B^{-1}, materializing the implicit unit row e_i
+// on first use.
+func (e *revisedEngine) binvRow(i int) []float64 {
+	row := e.binv[i]
+	if row == nil {
+		row = make([]float64, e.m)
+		row[i] = 1
+		e.binv[i] = row
+	}
+	return row
+}
+
 // applyBinv computes dst = B^{-1} A_j, walking binv row by row so the
 // traversal is cache-contiguous (the column-major order touches m cache
 // lines per sparse entry and dominated warm-solve profiles).
 func (e *revisedEngine) applyBinv(j int, dst []float64) {
 	col := &e.cols[j]
 	idx, val := col.idx, col.val
-	for i := 0; i < e.m; i++ {
-		row := e.binv[i]
+	for i, row := range e.binv {
+		if row == nil {
+			dst[i] = 0
+			continue
+		}
 		s := 0.0
 		for k, r := range idx {
 			s += row[r] * val[k]
 		}
 		dst[i] = s
+	}
+	// An implicit row e_i picks A_j's entry on row i; a column holds at
+	// most one entry per row.
+	for k, r := range idx {
+		if e.binv[r] == nil {
+			dst[r] = val[k]
+		}
+	}
+}
+
+// pivotBinv applies the row operations that turn dir = B^{-1}A_q into
+// e_leave: the pivot row is scaled by 1/dir[leave], and every other row
+// with dir[i] ≠ 0 subtracts dir[i] times it. The scaled pivot row's
+// nonzero columns are collected once, so each update touches only those —
+// the same operations, in the same order, as a dense sweep that skips the
+// pivot row's zeros.
+func (e *revisedEngine) pivotBinv(leave int) {
+	inv := 1 / e.dir[leave]
+	rowL := e.binvRow(leave)
+	nz := e.pivNZ[:0]
+	for c := range rowL {
+		rowL[c] *= inv
+		if rowL[c] != 0 {
+			nz = append(nz, c)
+		}
+	}
+	e.pivNZ = nz
+	for i, f := range e.dir {
+		if i == leave || f == 0 {
+			continue
+		}
+		row := e.binvRow(i)
+		for _, c := range nz {
+			row[c] -= f * rowL[c]
+		}
 	}
 }
 
@@ -568,28 +641,7 @@ func (e *revisedEngine) iterate() Status {
 			e.status[leaveVar] = atLower
 			e.xval[leaveVar] = e.lo[leaveVar]
 		}
-		// Update B^{-1}: row ops making dir into e_leave.
-		piv := e.dir[leave]
-		inv := 1 / piv
-		rowL := e.binv[leave]
-		for r := 0; r < e.m; r++ {
-			rowL[r] *= inv
-		}
-		for i := 0; i < e.m; i++ {
-			if i == leave {
-				continue
-			}
-			f := e.dir[i]
-			if f == 0 {
-				continue
-			}
-			row := e.binv[i]
-			for r := 0; r < e.m; r++ {
-				if rowL[r] != 0 {
-					row[r] -= f * rowL[r]
-				}
-			}
-		}
+		e.pivotBinv(leave)
 		e.status[q] = basic
 		e.basis[leave] = q
 		e.xB[leave] = enterVal
@@ -611,6 +663,10 @@ func (e *revisedEngine) computeY() {
 			continue
 		}
 		row := e.binv[i]
+		if row == nil {
+			e.y[i] += cb // the unit row e_i
+			continue
+		}
 		for r := 0; r < e.m; r++ {
 			if row[r] != 0 {
 				e.y[r] += cb * row[r]
@@ -677,7 +733,19 @@ func (e *revisedEngine) refactorize() bool {
 			}
 		}
 	}
+	// Every row is explicit after a factorization; the implicit ones are
+	// carved from one allocation.
+	implicit := 0
+	for _, row := range e.binv {
+		if row == nil {
+			implicit++
+		}
+	}
+	rows := make([]float64, implicit*m)
 	for i := 0; i < m; i++ {
+		if e.binv[i] == nil {
+			e.binv[i], rows = rows[:m:m], rows[m:]
+		}
 		copy(e.binv[i], work[i][m:])
 	}
 	e.recomputeXB()
@@ -704,12 +772,15 @@ func (e *revisedEngine) recomputeXB() {
 			resid[r] -= col.val[k] * e.xval[j]
 		}
 	}
-	for i := 0; i < m; i++ {
+	for i, row := range e.binv {
 		sum := 0.0
-		row := e.binv[i]
-		for r := 0; r < m; r++ {
-			if row[r] != 0 {
-				sum += row[r] * resid[r]
+		if row == nil {
+			sum += resid[i] // the unit row e_i
+		} else {
+			for r := 0; r < m; r++ {
+				if row[r] != 0 {
+					sum += row[r] * resid[r]
+				}
 			}
 		}
 		e.xB[i] = sum
@@ -856,8 +927,12 @@ func (e *revisedEngine) applyJournal(p *Problem) {
 				continue
 			}
 			e.bvec[i] = nb
-			for r := 0; r < e.m; r++ {
-				if v := e.binv[r][i]; v != 0 {
+			for r, row := range e.binv {
+				if row == nil {
+					if r == i {
+						e.xB[r] += d // the unit row e_r
+					}
+				} else if v := row[i]; v != 0 {
 					e.xB[r] += v * d
 				}
 			}
@@ -1018,7 +1093,7 @@ func (e *revisedEngine) dualIterate() Status {
 		// Dual ratio test over row r of B^{-1}A: eligible entering columns
 		// are those whose step direction both respects their own bound and
 		// keeps the leaving variable's new reduced cost on the right side.
-		rho := e.binv[r]
+		rho := e.binvRow(r)
 		e.computeY()
 		q := -1
 		bestRatio := math.Inf(1)
@@ -1083,27 +1158,7 @@ func (e *revisedEngine) dualIterate() Status {
 			e.status[leaveVar] = atLower
 			e.xval[leaveVar] = e.lo[leaveVar]
 		}
-		piv := e.dir[r]
-		inv := 1 / piv
-		rowR := e.binv[r]
-		for c := 0; c < e.m; c++ {
-			rowR[c] *= inv
-		}
-		for i := 0; i < e.m; i++ {
-			if i == r {
-				continue
-			}
-			f := e.dir[i]
-			if f == 0 {
-				continue
-			}
-			row := e.binv[i]
-			for c := 0; c < e.m; c++ {
-				if rowR[c] != 0 {
-					row[c] -= f * rowR[c]
-				}
-			}
-		}
+		e.pivotBinv(r)
 		newVal := e.xval[q] + step
 		e.status[q] = basic
 		e.basis[r] = q
@@ -1165,6 +1220,10 @@ func (e *revisedEngine) duals(sign float64) []float64 {
 			continue
 		}
 		row := e.binv[i]
+		if row == nil {
+			e.y[i] += cb // the unit row e_i
+			continue
+		}
 		for r := 0; r < e.m; r++ {
 			e.y[r] += cb * row[r]
 		}

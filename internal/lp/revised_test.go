@@ -121,19 +121,28 @@ func TestEnginesAgreeOnKnownProblems(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnRandomLPs is the cross-validation harness: the engine
-// and the dense reference must report the same status and (when optimal) the same objective and
-// duals on a large batch of random problems.
-func TestEnginesAgreeOnRandomLPs(t *testing.T) {
+// agreementCorpus returns the random LPs of the engine agreement test:
+// 400 feasible problems with up to 7 variables and 7 rows, both senses.
+func agreementCorpus() []*Problem {
 	src := rng.New(2718)
-	for trial := 0; trial < 400; trial++ {
+	corpus := make([]*Problem, 400)
+	for trial := range corpus {
 		n := 1 + src.Intn(7)
 		m := src.Intn(8)
 		sense := Minimize
 		if src.Bernoulli(0.5) {
 			sense = Maximize
 		}
-		p, _, _ := feasibleRandomLP(src, n, m, sense)
+		corpus[trial], _, _ = feasibleRandomLP(src, n, m, sense)
+	}
+	return corpus
+}
+
+// TestEnginesAgreeOnRandomLPs is the cross-validation harness: the engine
+// and the dense reference must report the same status and (when optimal) the same objective and
+// duals on a large batch of random problems.
+func TestEnginesAgreeOnRandomLPs(t *testing.T) {
+	for trial, p := range agreementCorpus() {
 		a, err := solveDense(p)
 		if err != nil {
 			t.Fatal(err)

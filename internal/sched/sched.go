@@ -259,6 +259,8 @@ func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 	// pairs on the same band whose transmitter differs.
 	gamma := net.Radio.SINRThreshold
 	eta := net.Radio.NoiseDensity
+	// One scratch row serves every SINR row: AddConstraint copies its terms.
+	terms := make([]lp.Term, 0, len(pairs))
 	for k, pr := range pairs {
 		link := net.Links[pr.link]
 		w := req.Widths[pr.band]
@@ -282,8 +284,7 @@ func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 		if rhs > 0 {
 			scale = 1 / rhs
 		}
-		//lint:allow hotalloc -- not scratch: AddConstraint retains each SINR row's term slice
-		terms := []lp.Term{{Var: ids[k], Coef: (bigM - gP) * scale}}
+		terms = append(terms[:0], lp.Term{Var: ids[k], Coef: (bigM - gP) * scale})
 		for k2, pr2 := range pairs {
 			if k2 == k || pr2.band != pr.band {
 				continue
