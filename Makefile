@@ -1,14 +1,15 @@
 # Development targets. `make check` is the gate every change must pass:
 # it builds all packages, vets them, lints them with the project analyzers
-# (docs/ANALYSIS.md), and runs the tests under the race detector (the sim
+# (docs/ANALYSIS.md), runs the tests under the race detector (the sim
 # package replicates runs on concurrent goroutines, so -race is
-# load-bearing, not ceremonial). `make ci` is the stricter batch gate:
-# check plus a gofmt diff check, the units-check golden byte-identity
-# gate, a short fuzz smoke, the fault soak (docs/ROBUSTNESS.md): a
-# long run with every injection site firing at an elevated rate, per-slot
-# invariants on, under the race detector — the serve and cluster smokes
-# (docs/SERVER.md, docs/CLUSTER.md) — and bench-json, the benchmark
-# trajectory gate (docs/PERFORMANCE.md).
+# load-bearing, not ceremonial), and vets and tests the perfbench module.
+# `make ci` is the stricter batch gate: check plus a gofmt diff check,
+# the units-check golden byte-identity gate, a short fuzz smoke, the
+# fault soak (docs/ROBUSTNESS.md): a long run with every injection site
+# firing at an elevated rate, per-slot invariants on, under the race
+# detector — the serve and cluster smokes (docs/SERVER.md,
+# docs/CLUSTER.md) — and bench-json, the benchmark trajectory gate
+# (docs/PERFORMANCE.md).
 
 GO ?= go
 FUZZTIME ?= 15s
@@ -17,9 +18,9 @@ FUZZTIME ?= 15s
 # driver's -analyzers selection path; must match analysis.All().
 ANALYZERS = norawrand,nofloateq,droppederr,unguardedgo,unitmix,mapiter,wallclock,detflow,locksafe,hotalloc,resleak,ctxflow,errcmp
 
-.PHONY: check ci build vet lint lint-audit lint-sarif test race fuzz soak bench bench-json fmt fmtcheck units-check dist-check serve-smoke cluster-smoke figures clean
+.PHONY: check ci build vet perfbench-check lint lint-audit lint-sarif test race fuzz soak bench bench-json fmt fmtcheck units-check dist-check serve-smoke cluster-smoke figures clean
 
-check: build vet lint race
+check: build vet lint race perfbench-check
 
 ci: fmtcheck check lint-audit lint-sarif units-check dist-check fuzz soak serve-smoke cluster-smoke bench-json
 
@@ -28,6 +29,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench/ is its own module (it replaces greencell with ../), so
+# `go build ./...` and `go test ./...` never compile it; this builds the
+# benchmark against the current server/cluster API, offline.
+perfbench-check:
+	cd perfbench && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...
 
 lint:
 	$(GO) run ./cmd/greencell-lint -timings -analyzers $(ANALYZERS) ./...

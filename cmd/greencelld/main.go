@@ -15,17 +15,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"greencell/internal/server"
@@ -52,102 +44,11 @@ func run(args []string) error {
 		return err
 	}
 
-	// Listen before journal replay so the address is claimed and probes get
-	// an honest answer during recovery: the bootstrap handler serves
-	// liveness (200 /healthz) and not-ready (503 /readyz) until server.New
-	// finishes replaying, then the real API is swapped in atomically.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			return errors.Join(fmt.Errorf("writing -addr-file: %w", err), ln.Close())
-		}
-	}
-	fmt.Fprintf(os.Stderr, "greencelld: listening on %s (journal %q)\n", bound, *journal)
-
-	var handler atomic.Value // http.Handler
-	handler.Store(bootstrapHandler())
-	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().(http.Handler).ServeHTTP(w, r)
-	})}
-	errCh := make(chan error, 1)
-	go serveHTTP(hs, ln, errCh)
-
-	srv, err := server.New(server.Config{
-		JournalPath: *journal,
-		Workers:     *workers,
-		QueueDepth:  *queueDepth,
+	return server.ListenAndServe("greencelld", *addr, *addrFile, *grace, func() (server.Service, error) {
+		return server.New(server.Config{
+			JournalPath: *journal,
+			Workers:     *workers,
+			QueueDepth:  *queueDepth,
+		})
 	})
-	if err != nil {
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		return errors.Join(err, hs.Shutdown(sctx))
-	}
-	handler.Store(srv.Handler())
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-
-	select {
-	case err := <-errCh:
-		// The listener died on its own; take the jobs down with it.
-		if cerr := srv.Close(); cerr != nil {
-			return fmt.Errorf("serve: %v; close: %w", err, cerr)
-		}
-		return err
-	case sig := <-sigCh:
-		fmt.Fprintf(os.Stderr, "greencelld: %v: draining (grace %s)\n", sig, *grace)
-		dctx, dcancel := context.WithTimeout(context.Background(), *grace)
-		defer dcancel()
-		derr := srv.Drain(dctx)
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		if serr := hs.Shutdown(sctx); serr != nil && derr == nil {
-			derr = serr
-		}
-		fmt.Fprintln(os.Stderr, "greencelld: drained")
-		return derr
-	}
-}
-
-// bootstrapHandler serves the pre-replay window: alive but not ready.
-func bootstrapHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		writeBody(w, `{"status":"ok"}`)
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		writeBody(w, `{"status":"starting"}`)
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		writeBody(w, `{"error":"starting: journal replay in progress"}`)
-	})
-	return mux
-}
-
-// writeBody writes a one-line JSON body to a probe response. A failed write
-// means the prober went away; there is nobody left to tell.
-func writeBody(w io.Writer, line string) {
-	//lint:allow droppederr -- a failed probe-response write means the client is gone
-	io.WriteString(w, line+"\n")
-}
-
-// serveHTTP runs the HTTP server and reports its exit; a separate function
-// so the accept loop's goroutine shares nothing mutable with main.
-func serveHTTP(hs *http.Server, ln net.Listener, errCh chan<- error) {
-	err := hs.Serve(ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		err = nil
-	}
-	errCh <- err
 }

@@ -23,9 +23,7 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,6 +36,7 @@ import (
 	"greencell"
 	"greencell/internal/export"
 	"greencell/internal/metrics"
+	"greencell/internal/server"
 	"greencell/internal/sim"
 )
 
@@ -89,12 +88,12 @@ func run(args []string) (err error) {
 	defer stop()
 
 	done := map[string]sim.SeedMetrics{}
-	var ckpt *checkpointWriter
+	var ckpt *server.Journal[cell] // nil records nothing
 	if *resume != "" {
 		if done, err = loadCheckpoints(*resume); err != nil {
 			return err
 		}
-		if ckpt, err = openCheckpoints(*resume); err != nil {
+		if ckpt, err = server.OpenJournal[cell](*resume); err != nil {
 			return err
 		}
 		defer func() { err = errors.Join(err, ckpt.Close()) }()
@@ -140,10 +139,8 @@ func run(args []string) (err error) {
 			}
 			for _, m := range got {
 				ms = append(ms, m)
-				if ckpt != nil {
-					if err := ckpt.Write(cell{Param: *param, Value: v, Metrics: m}); err != nil {
-						return fmt.Errorf("checkpoint: %w", err)
-					}
+				if err := ckpt.Append(cell{Param: *param, Value: v, Metrics: m}); err != nil {
+					return fmt.Errorf("checkpoint: %w", err)
 				}
 			}
 		} else {
@@ -155,10 +152,8 @@ func run(args []string) (err error) {
 				}
 				m := sim.MetricsOf(o.Seed, o.Result)
 				ms = append(ms, m)
-				if ckpt != nil {
-					if err := ckpt.Write(cell{Param: *param, Value: v, Metrics: m}); err != nil {
-						return fmt.Errorf("checkpoint: %w", err)
-					}
+				if err := ckpt.Append(cell{Param: *param, Value: v, Metrics: m}); err != nil {
+					return fmt.Errorf("checkpoint: %w", err)
 				}
 			}
 		}
@@ -224,71 +219,19 @@ func cellKey(param string, value float64, seed int64) string {
 	return fmt.Sprintf("%s=%g#%d", param, value, seed)
 }
 
-// loadCheckpoints reads a -resume file into a key→metrics map. A missing
-// file is an empty checkpoint. A torn final line — the signature of a
-// crash mid-append — is skipped with a warning rather than failing the
-// resume; a torn line anywhere else is corruption and is an error.
+// loadCheckpoints reads a -resume file (a server.Journal of cells; a torn
+// final line re-runs its cell) into a key→metrics map.
 func loadCheckpoints(path string) (map[string]sim.SeedMetrics, error) {
-	done := map[string]sim.SeedMetrics{}
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return done, nil
-	}
+	cells, err := server.LoadJournal[cell](path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	scan := bufio.NewScanner(f)
-	torn := ""
-	lineNo := 0
-	for scan.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scan.Text())
-		if line == "" {
-			continue
-		}
-		if torn != "" {
-			return nil, fmt.Errorf("checkpoint %s: corrupt record at line %s", path, torn)
-		}
-		var c cell
-		if err := json.Unmarshal([]byte(line), &c); err != nil {
-			torn = strconv.Itoa(lineNo) // tolerated only if it is the last line
-			continue
-		}
+	done := map[string]sim.SeedMetrics{}
+	for _, c := range cells {
 		done[cellKey(c.Param, c.Value, c.Metrics.Seed)] = c.Metrics
-	}
-	if err := scan.Err(); err != nil {
-		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	if torn != "" {
-		fmt.Fprintf(os.Stderr, "sweep: checkpoint %s: dropping torn final line %s (interrupted write); its cell will re-run\n", path, torn)
 	}
 	return done, nil
 }
-
-// checkpointWriter appends cells to the -resume file, one JSON line per
-// completed cell, flushed eagerly so a crash loses at most the record
-// being written.
-type checkpointWriter struct{ f *os.File }
-
-func openCheckpoints(path string) (*checkpointWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &checkpointWriter{f: f}, nil
-}
-
-func (w *checkpointWriter) Write(c cell) error {
-	b, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
-	_, err = w.f.Write(append(b, '\n'))
-	return err
-}
-
-func (w *checkpointWriter) Close() error { return w.f.Close() }
 
 // writeMetrics re-runs one instrumented copy of the scenario and streams
 // its per-slot metrics records to path.

@@ -10,9 +10,11 @@
 // re-dispatches the cells of expired leases and lost workers to healthy
 // peers. Completed cells land in a content-addressed cache keyed by
 // sha256(canonical spec, seed), so re-dispatched or resubmitted cells are
-// exactly-once and free, and a coordinator-side JSONL journal (torn-line
-// tolerant, like the daemon's) lets a restarted coordinator resume
-// in-flight jobs from their last finished seed.
+// exactly-once and free, and a coordinator-side server.Journal lets a
+// restarted coordinator resume in-flight jobs from their last finished
+// seed. The HTTP API, journal and process lifecycle are the daemon's own
+// front end (internal/server); only the job table here is the
+// coordinator's.
 //
 // Determinism is inherited from the daemon contract: a cell's stream is a
 // pure function of (spec, seed), so the coordinator's merged, seed-ordered
@@ -178,8 +180,8 @@ type Job struct {
 	done         chan struct{}
 }
 
-// cancel reasons, mirroring the daemon: a user DELETE journals a terminal
-// event; a drain does not, leaving the job recoverable.
+// cancel reasons: a user DELETE journals a terminal event; a drain does
+// not, leaving the job recoverable.
 const (
 	cancelUser  = "user"
 	cancelDrain = "drain"
@@ -198,7 +200,7 @@ type Coordinator struct {
 	jobs    map[string]*Job
 	order   []string
 	nextID  int
-	journal *journal
+	journal *server.Journal[journalEntry]
 
 	draining bool
 
@@ -270,7 +272,7 @@ func New(cfg Config) (*Coordinator, error) {
 			cancel()
 			return nil, err
 		}
-		j, err := openJournal(cfg.JournalPath)
+		j, err := server.OpenJournal[journalEntry](cfg.JournalPath)
 		if err != nil {
 			cancel()
 			return nil, err
@@ -291,100 +293,58 @@ func New(cfg Config) (*Coordinator, error) {
 // recover replays the journal: completed cells of every job are admitted
 // into the cache index, terminal jobs become read-only history (their
 // merged streams rebuilt from whatever blobs the cache still holds), and
-// jobs whose last lifecycle event was non-terminal are returned for
-// re-running — the cache makes their finished seeds free.
+// interrupted jobs are returned for re-running — the cache makes their
+// finished seeds free.
 func (c *Coordinator) recover(path string) ([]*Job, error) {
-	entries, err := loadJournal(path)
+	entries, err := server.LoadJournal[journalEntry](path)
 	if err != nil {
 		return nil, err
 	}
-	type folded struct {
-		req   *server.JobRequest
-		last  string
-		errS  string
-		cells []journalEntry
-	}
-	byID := make(map[string]*folded)
-	var ids []string
+	var events []server.LifecycleEvent
 	for _, e := range entries {
-		f := byID[e.ID]
-		if f == nil {
-			f = &folded{}
-			byID[e.ID] = f
-			ids = append(ids, e.ID)
+		if e.Event != "cell" {
+			events = append(events, server.LifecycleEvent{Event: e.Event, ID: e.ID, Req: e.Req, Error: e.Error})
+			continue
 		}
-		if e.Req != nil {
-			f.req = e.Req
-		}
-		if e.Event == "cell" {
-			if e.Metrics != nil && e.Key != "" {
-				f.cells = append(f.cells, e)
-			}
-			continue // cells do not advance the lifecycle
-		}
-		f.last = e.Event
-		f.errS = e.Error
-		if n := jobIDNum(e.ID); n > c.nextID {
-			c.nextID = n
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return jobIDNum(ids[i]) < jobIDNum(ids[j]) })
-
-	var resume []*Job
-	for _, id := range ids {
-		f := byID[id]
 		// Cells feed the cache index regardless of the job's fate.
-		for _, ce := range f.cells {
-			if n := c.cache.admit(ce.Key, *ce.Metrics); n > 0 {
+		if e.Metrics != nil && e.Key != "" {
+			if n := c.cache.admit(e.Key, *e.Metrics); n > 0 {
 				c.cCacheEvicts.Add(float64(n))
 			}
 		}
-		if f.req == nil {
-			fmt.Fprintf(os.Stderr, "greencell-coord: journal: job %s has no submitted event; skipping\n", id)
-			continue
-		}
-		seeds, err := f.req.Normalize()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "greencell-coord: journal: job %s no longer validates (%v); skipping\n", id, err)
-			continue
-		}
-		sc, err := f.req.Spec.Scenario()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "greencell-coord: journal: job %s spec no longer materializes (%v); skipping\n", id, err)
-			continue
-		}
-		j, err := c.newJob(id, *f.req, seeds, sc.Slots)
+	}
+	replayed, next := server.ReplayJobs(events, jobIDPrefix)
+	c.nextID = next
+
+	var resume []*Job
+	for _, r := range replayed {
+		j, err := c.newJob(r.ID, r.Req, r.Seeds, r.Slots)
 		if err != nil {
 			return nil, err
 		}
 		j.recovered = true
-		switch f.last {
-		case "submitted", "started":
-			c.jobs[id] = j
-			c.order = append(c.order, id)
+		c.jobs[r.ID] = j
+		c.order = append(c.order, r.ID)
+		if r.Interrupted() {
 			c.cSubmitted.Inc()
 			c.cRecovered.Inc()
 			resume = append(resume, j)
-		case "done", "failed", "cancelled":
-			j.state = server.JobState(f.last)
-			j.errMsg = f.errS
-			// History: rebuild what the cache still serves, then close the
-			// merged stream so followers terminate.
-			for _, seed := range j.Seeds {
-				cl := j.cells[seed]
-				if m, blob, ok := c.cache.get(cl.key); ok {
-					cl.state, cl.metrics, cl.fromCache = cellDone, m, true
-					j.merge.put(seed, blob)
-				}
-			}
-			j.result = c.buildResult(j)
-			j.merge.close()
-			close(j.done)
-			c.jobs[id] = j
-			c.order = append(c.order, id)
-		default:
-			fmt.Fprintf(os.Stderr, "greencell-coord: journal: job %s has unknown event %q; skipping\n", id, f.last)
+			continue
 		}
+		j.state = server.JobState(r.Last)
+		j.errMsg = r.Error
+		// History: rebuild what the cache still serves, then close the
+		// merged stream so followers terminate.
+		for _, seed := range j.Seeds {
+			cl := j.cells[seed]
+			if m, blob, ok := c.cache.get(cl.key); ok {
+				cl.state, cl.metrics, cl.fromCache = cellDone, m, true
+				j.merge.put(seed, blob)
+			}
+		}
+		j.result = c.buildResult(j)
+		j.merge.close()
+		close(j.done)
 	}
 	return resume, nil
 }
@@ -412,31 +372,21 @@ func (c *Coordinator) newJob(id string, req server.JobRequest, seeds []int64, to
 	return j, nil
 }
 
-// apiError mirrors the daemon's HTTP error shape; retryAfter > 0 adds a
-// Retry-After header (503 queue-full).
-type apiError struct {
-	code       int
-	msg        string
-	retryAfter int
-}
-
-func (e *apiError) Error() string { return e.msg }
-
 // Submit validates, journals, and launches a job.
 func (c *Coordinator) Submit(req server.JobRequest) (server.JobStatus, error) {
 	seeds, err := req.Normalize()
 	if err != nil {
-		return server.JobStatus{}, &apiError{code: 400, msg: err.Error()}
+		return server.JobStatus{}, &server.APIError{Status: 400, Msg: err.Error()}
 	}
 	sc, err := req.Spec.Scenario()
 	if err != nil {
-		return server.JobStatus{}, &apiError{code: 400, msg: err.Error()}
+		return server.JobStatus{}, &server.APIError{Status: 400, Msg: err.Error()}
 	}
 
 	c.mu.Lock()
 	if c.draining {
 		c.mu.Unlock()
-		return server.JobStatus{}, &apiError{code: 503, msg: "coordinator is draining; not accepting jobs"}
+		return server.JobStatus{}, &server.APIError{Status: 503, Msg: "coordinator is draining; not accepting jobs"}
 	}
 	active := 0
 	for _, id := range c.order {
@@ -446,7 +396,7 @@ func (c *Coordinator) Submit(req server.JobRequest) (server.JobStatus, error) {
 	}
 	if active >= c.cfg.QueueDepth {
 		c.mu.Unlock()
-		return server.JobStatus{}, &apiError{code: 503, msg: "job table is full", retryAfter: 1}
+		return server.JobStatus{}, &server.APIError{Status: 503, Msg: "job table is full", RetryAfter: 1}
 	}
 	c.nextID++
 	id := jobID(c.nextID)
@@ -455,7 +405,7 @@ func (c *Coordinator) Submit(req server.JobRequest) (server.JobStatus, error) {
 		c.mu.Unlock()
 		return server.JobStatus{}, err
 	}
-	if err := c.journal.append(journalEntry{Event: "submitted", ID: id, Req: &req}); err != nil {
+	if err := c.journal.Append(journalEntry{Event: "submitted", ID: id, Req: &req}); err != nil {
 		c.mu.Unlock()
 		return server.JobStatus{}, fmt.Errorf("journal: %w", err)
 	}
@@ -482,7 +432,7 @@ func (c *Coordinator) startJob(j *Job) {
 	j.state = server.JobRunning
 	j.startedAt = now()
 	j.cancel = cancel
-	err := c.journal.append(journalEntry{Event: "started", ID: j.ID})
+	err := c.journal.Append(journalEntry{Event: "started", ID: j.ID})
 	c.gActive.Set(c.gActive.Value() + 1)
 	c.mu.Unlock()
 	if err != nil {
@@ -502,7 +452,7 @@ func (c *Coordinator) Job(id string) (server.JobStatus, error) {
 	defer c.mu.Unlock()
 	j, ok := c.jobs[id]
 	if !ok {
-		return server.JobStatus{}, &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
+		return server.JobStatus{}, &server.APIError{Status: 404, Msg: fmt.Sprintf("no such job %q", id)}
 	}
 	return c.jobStatus(j), nil
 }
@@ -550,7 +500,7 @@ func (c *Coordinator) Cancel(id string) (server.JobStatus, error) {
 	j, ok := c.jobs[id]
 	if !ok {
 		c.mu.Unlock()
-		return server.JobStatus{}, &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
+		return server.JobStatus{}, &server.APIError{Status: 404, Msg: fmt.Sprintf("no such job %q", id)}
 	}
 	if j.state.Terminal() {
 		st := c.jobStatus(j)
@@ -576,7 +526,7 @@ func (c *Coordinator) Cancel(id string) (server.JobStatus, error) {
 		j.finishedAt = now()
 		j.result = c.buildResult(j)
 		c.cCancelled.Inc()
-		if err := c.journal.append(journalEntry{Event: "cancelled", ID: j.ID, Error: j.errMsg}); err != nil {
+		if err := c.journal.Append(journalEntry{Event: "cancelled", ID: j.ID, Error: j.errMsg}); err != nil {
 			fmt.Fprintf(os.Stderr, "greencell-coord: journal: %v\n", err)
 		}
 	}
@@ -584,15 +534,35 @@ func (c *Coordinator) Cancel(id string) (server.JobStatus, error) {
 }
 
 // Stream writes the job's merged, seed-ordered metrics stream into w,
-// following live completions until the job ends or ctx is cancelled.
-func (c *Coordinator) Stream(ctx context.Context, id string, w io.Writer) error {
+// following live completions until the job ends or ctx is cancelled. A
+// merged multi-seed stream has no single slot axis to resume on, so
+// fromSlot > 0 is a 400.
+func (c *Coordinator) Stream(ctx context.Context, id string, w io.Writer, fromSlot int) error {
 	c.mu.Lock()
 	j, ok := c.jobs[id]
 	c.mu.Unlock()
 	if !ok {
-		return &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
+		return &server.APIError{Status: 404, Msg: fmt.Sprintf("no such job %q", id)}
+	}
+	if fromSlot > 0 {
+		return &server.APIError{Status: 400, Msg: "from_slot: a merged multi-seed stream cannot resume at a slot"}
 	}
 	return j.merge.stream(ctx, w)
+}
+
+// Handler returns the coordinator's HTTP API: server.NewHandler over the
+// coordinator, whose metrics stream is the merged seed-ordered one, plus
+//
+//	GET /v1/workers  worker pool health (breaker state, inflight)
+func (c *Coordinator) Handler() *http.ServeMux {
+	mux := server.NewHandler(c)
+	mux.HandleFunc("GET /v1/workers", func(w http.ResponseWriter, r *http.Request) {
+		server.WriteJSON(w, http.StatusOK, map[string]any{
+			"workers":     c.WorkerStatuses(),
+			"cache_cells": c.CacheLen(),
+		})
+	})
+	return mux
 }
 
 // WriteMetrics renders the coordinator registry in Prometheus text format.

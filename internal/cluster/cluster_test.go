@@ -11,6 +11,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -153,7 +155,7 @@ func goldenMerged(t *testing.T, spec sim.ScenarioSpec, seeds []int64) []byte {
 func mergedStream(t *testing.T, c *Coordinator, id string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := c.Stream(context.Background(), id, &buf); err != nil {
+	if err := c.Stream(context.Background(), id, &buf, 0); err != nil {
 		t.Fatalf("Stream(%s): %v", id, err)
 	}
 	canon, err := metrics.CanonicalizeJSONL(buf.Bytes())
@@ -358,9 +360,9 @@ func TestClusterDrainResumesFromJournal(t *testing.T) {
 	if _, err := c.Submit(req); err == nil {
 		t.Fatal("Submit after drain succeeded")
 	}
-	entries, err := loadJournal(cfg.JournalPath)
+	entries, err := server.LoadJournal[journalEntry](cfg.JournalPath)
 	if err != nil {
-		t.Fatalf("loadJournal: %v", err)
+		t.Fatalf("LoadJournal: %v", err)
 	}
 	last, cells := "", 0
 	for _, e := range entries {
@@ -613,6 +615,46 @@ func TestCoordinatorHTTPAPI(t *testing.T) {
 	}
 	if resp, _ := get("/healthz"); resp.StatusCode != 200 {
 		t.Fatalf("healthz after drain: %d, want 200 (liveness is not readiness)", resp.StatusCode)
+	}
+}
+
+// TestCoordinatorStreamRejectsFromSlot: a merged multi-seed stream has no
+// single slot axis, so a resume point is refused with a 400 before any
+// record is written, instead of being ignored and replaying every record.
+func TestCoordinatorStreamRejectsFromSlot(t *testing.T) {
+	c := newTestCoord(t, Config{PollInterval: 10 * time.Millisecond})
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	st, err := c.Submit(server.JobRequest{Spec: tinySpec(1), Replications: 2})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+
+	var buf bytes.Buffer
+	err = c.Stream(context.Background(), st.ID, &buf, 3)
+	var ae *server.APIError
+	if !errors.As(err, &ae) || ae.Status != 400 || buf.Len() != 0 {
+		t.Fatalf("Stream from slot 3: err %v, %d bytes written; want a 400 before any byte", err, buf.Len())
+	}
+
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/metrics?from_slot=3")
+	if err != nil {
+		t.Fatalf("GET metrics: %v", err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading body: %v", err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatalf("closing body: %v", err)
+	}
+	if resp.StatusCode != 400 || !strings.Contains(string(body), "from_slot") {
+		t.Fatalf("GET metrics?from_slot=3: %d %s, want 400 naming from_slot", resp.StatusCode, body)
 	}
 }
 

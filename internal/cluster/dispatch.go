@@ -40,7 +40,7 @@ func (c *Coordinator) heartbeatLoop(w *worker) {
 	for {
 		if w.probeDue(now()) {
 			pctx, cancel := context.WithTimeout(c.runCtx, c.cfg.HeartbeatTimeout)
-			err := rpcJSON(pctx, c.hc, http.MethodGet, w.base+"/readyz", nil, http.StatusOK, nil)
+			err := DoJSON(pctx, c.hc, http.MethodGet, w.base+"/readyz", nil, http.StatusOK, nil)
 			cancel()
 			if c.runCtx.Err() != nil {
 				return
@@ -126,7 +126,7 @@ func (c *Coordinator) resolveFromCache(j *Job) {
 			cl.fromCache = true
 			c.cCacheHits.Inc()
 			c.cCellsDone.Inc()
-			if err := c.journal.append(journalEntry{Event: "cell", ID: j.ID, Seed: seed, Key: key, Metrics: &m}); err != nil {
+			if err := c.journal.Append(journalEntry{Event: "cell", ID: j.ID, Seed: seed, Key: key, Metrics: &m}); err != nil {
 				fmt.Fprintf(os.Stderr, "greencell-coord: journal: %v\n", err)
 			}
 			j.merge.put(seed, blob)
@@ -252,7 +252,7 @@ func (c *Coordinator) dispatchCell(ctx context.Context, j *Job, a action) {
 	}
 	var st server.JobStatus
 	err = c.workerRPC(ctx, a.w, func(ctx context.Context) error {
-		return rpcJSON(ctx, c.hc, http.MethodPost, a.w.base+"/v1/jobs", body, http.StatusAccepted, &st)
+		return DoJSON(ctx, c.hc, http.MethodPost, a.w.base+"/v1/jobs", body, http.StatusAccepted, &st)
 	})
 
 	c.mu.Lock()
@@ -294,7 +294,7 @@ func (c *Coordinator) dispatchCell(ctx context.Context, j *Job, a action) {
 func (c *Coordinator) pollCell(ctx context.Context, j *Job, a action) {
 	var st server.JobStatus
 	err := c.workerRPC(ctx, a.w, func(ctx context.Context) error {
-		return rpcJSON(ctx, c.hc, http.MethodGet, a.w.base+"/v1/jobs/"+a.wjob, nil, http.StatusOK, &st)
+		return DoJSON(ctx, c.hc, http.MethodGet, a.w.base+"/v1/jobs/"+a.wjob, nil, http.StatusOK, &st)
 	})
 	if err != nil {
 		var he *HTTPError
@@ -367,7 +367,7 @@ func (c *Coordinator) collectCell(ctx context.Context, j *Job, a action, st serv
 	m := st.Result.Seeds[0]
 	var blob []byte
 	err := c.workerRPC(ctx, a.w, func(ctx context.Context) error {
-		b, err := rpcBytes(ctx, c.hc, a.w.base+"/v1/jobs/"+a.wjob+"/metrics")
+		b, err := GetBytes(ctx, c.hc, a.w.base+"/v1/jobs/"+a.wjob+"/metrics")
 		if err == nil {
 			blob = b
 		}
@@ -403,7 +403,7 @@ func (c *Coordinator) collectCell(ctx context.Context, j *Job, a action, st serv
 	a.cl.metrics = m
 	a.w.addInflight(-1)
 	c.cCellsDone.Inc()
-	if err := c.journal.append(journalEntry{Event: "cell", ID: j.ID, Seed: a.cl.seed, Key: key, Metrics: &m}); err != nil {
+	if err := c.journal.Append(journalEntry{Event: "cell", ID: j.ID, Seed: a.cl.seed, Key: key, Metrics: &m}); err != nil {
 		fmt.Fprintf(os.Stderr, "greencell-coord: journal: %v\n", err)
 	}
 	j.merge.put(a.cl.seed, blob)
@@ -416,7 +416,7 @@ func (c *Coordinator) expireLease(ctx context.Context, j *Job, a action) {
 	// Best-effort, single attempt: the worker-side deadline reaps the job
 	// anyway if this DELETE never lands.
 	//lint:allow droppederr -- best-effort lease cancel; the worker-side job deadline is the backstop
-	_ = rpcJSON(dctx, c.hc, http.MethodDelete, a.w.base+"/v1/jobs/"+a.wjob, nil, http.StatusOK, nil)
+	_ = DoJSON(dctx, c.hc, http.MethodDelete, a.w.base+"/v1/jobs/"+a.wjob, nil, http.StatusOK, nil)
 	cancel()
 
 	c.mu.Lock()
@@ -497,7 +497,7 @@ func (c *Coordinator) finishJob(ctx context.Context, j *Job) {
 		j.result = c.buildResult(j)
 	}
 	if event != "" {
-		if err := c.journal.append(journalEntry{Event: event, ID: j.ID, Error: j.errMsg}); err != nil {
+		if err := c.journal.Append(journalEntry{Event: event, ID: j.ID, Error: j.errMsg}); err != nil {
 			fmt.Fprintf(os.Stderr, "greencell-coord: journal: %v\n", err)
 		}
 	}
@@ -513,7 +513,7 @@ func (c *Coordinator) finishJob(ctx context.Context, j *Job) {
 		//lint:allow ctxflow -- post-cancel best-effort lease release; the job ctx is already dead
 		dctx, cancel := context.WithTimeout(context.Background(), c.rpcTimeout())
 		//lint:allow droppederr -- best-effort lease release; the worker-side job deadline is the backstop
-		_ = rpcJSON(dctx, c.hc, http.MethodDelete, a.w.base+"/v1/jobs/"+a.wjob, nil, http.StatusOK, nil)
+		_ = DoJSON(dctx, c.hc, http.MethodDelete, a.w.base+"/v1/jobs/"+a.wjob, nil, http.StatusOK, nil)
 		cancel()
 		a.w.addInflight(-1)
 	}

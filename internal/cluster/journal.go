@@ -1,12 +1,10 @@
 package cluster
 
-// The coordinator journal is the same crash-consistency design as the
-// daemon's (internal/server/journal.go): an append-only JSON-Lines file of
-// lifecycle events, flushed per event, tolerant of a torn final line — the
-// signature of a crash mid-append. It adds one event the daemon does not
-// need: "cell", recording a completed (seed, cache key, metrics) cell, so
-// a restarted coordinator resumes a job from its last finished seed (the
-// cell's stream bytes live in the content-addressed cache under the key).
+// The coordinator journal is a server.Journal of lifecycle events, plus one
+// event the daemon does not need: "cell", recording a completed (seed,
+// cache key, metrics) cell, so a restarted coordinator resumes a job from
+// its last finished seed (the cell's stream bytes live in the
+// content-addressed cache under the key).
 //
 // Journal events:
 //
@@ -22,13 +20,7 @@ package cluster
 // only the unfinished seeds re-dispatch.
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 
 	"greencell/internal/server"
 	"greencell/internal/sim"
@@ -44,95 +36,11 @@ type journalEntry struct {
 	Error   string             `json:"error,omitempty"`
 }
 
-// journal appends lifecycle events; a nil *journal records nothing.
-type journal struct {
-	f *os.File
-}
+// jobIDPrefix starts every coordinator job ID. It differs from the
+// daemon's "job-" so logs from a mixed fleet read unambiguously.
+const jobIDPrefix = "cjob-"
 
-func openJournal(path string) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &journal{f: f}, nil
-}
-
-// append writes one event unbuffered, so a crash loses at most the event
-// being written (a torn final line, tolerated on load).
-func (j *journal) append(e journalEntry) error {
-	if j == nil {
-		return nil
-	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	_, err = j.f.Write(append(b, '\n'))
-	return err
-}
-
-func (j *journal) Close() error {
-	if j == nil {
-		return nil
-	}
-	return j.f.Close()
-}
-
-// loadJournal replays a journal file. A missing file is an empty journal;
-// a torn final line is dropped with a warning; a torn line anywhere else is
-// corruption and an error.
-func loadJournal(path string) ([]journalEntry, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-
-	var out []journalEntry
-	scan := bufio.NewScanner(f)
-	scan.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	torn := ""
-	lineNo := 0
-	for scan.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scan.Text())
-		if line == "" {
-			continue
-		}
-		if torn != "" {
-			return nil, fmt.Errorf("journal %s: corrupt record at line %s", path, torn)
-		}
-		var e journalEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			torn = strconv.Itoa(lineNo) // tolerated only as the final line
-			continue
-		}
-		out = append(out, e)
-	}
-	if err := scan.Err(); err != nil {
-		return nil, fmt.Errorf("journal %s: %w", path, err)
-	}
-	if torn != "" {
-		fmt.Fprintf(os.Stderr, "greencell-coord: journal %s: dropping torn final line %s (interrupted write); its event is lost\n", path, torn)
-	}
-	return out, nil
-}
-
-// jobIDNum parses the numeric suffix of "cjob-000123" IDs (0 if foreign).
-func jobIDNum(id string) int {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "cjob-"))
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// jobID renders the canonical ID for coordinator job number n. The prefix
-// differs from the daemon's "job-" so logs from a mixed fleet read
-// unambiguously.
+// jobID renders the canonical ID for coordinator job number n.
 func jobID(n int) string {
-	return fmt.Sprintf("cjob-%06d", n)
+	return fmt.Sprintf("%s%06d", jobIDPrefix, n)
 }

@@ -4,7 +4,8 @@ package cluster
 // offset — the full space of crash-mid-append outcomes — must replay
 // without panicking, resume exactly the jobs whose last complete lifecycle
 // event is non-terminal, keep terminal jobs as history, and admit exactly
-// the complete cell records into the cache index.
+// the complete cell records into the cache index. The loader's own
+// torn-line tests live with server.LoadJournal.
 
 import (
 	"bytes"
@@ -32,36 +33,6 @@ func buildJournal(t *testing.T, entries []journalEntry) []byte {
 		buf.Write(append(b, '\n'))
 	}
 	return buf.Bytes()
-}
-
-func TestLoadJournalTornFinalLineTolerated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	data := buildJournal(t, []journalEntry{
-		{Event: "submitted", ID: "cjob-000001"},
-		{Event: "started", ID: "cjob-000001"},
-	})
-	data = append(data, []byte(`{"event":"do`)...) // crash mid-append
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	entries, err := loadJournal(path)
-	if err != nil {
-		t.Fatalf("loadJournal: %v", err)
-	}
-	if len(entries) != 2 || entries[1].Event != "started" {
-		t.Fatalf("entries = %+v, want the two complete events", entries)
-	}
-}
-
-func TestLoadJournalTornMidFileIsCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	data := []byte(`{"event":"sub` + "\n" + `{"event":"started","id":"cjob-000001"}` + "\n")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, err := loadJournal(path); err == nil {
-		t.Fatal("a torn line followed by more records loaded without error")
-	}
 }
 
 // TestCoordinatorJournalTruncationEveryByte is the crash-replay sweep. The

@@ -134,10 +134,15 @@ func (w *worker) inflightNow() int {
 	return w.inflight
 }
 
-// rpcJSON performs one HTTP exchange against a worker: non-wantCode
-// responses become *HTTPError (so Transient can classify), transport
-// failures pass through as-is.
-func rpcJSON(ctx context.Context, hc *http.Client, method, url string, body []byte, wantCode int, out any) error {
+// DoJSON performs one JSON API exchange — coordinator to worker, or a
+// client (greencellsim -submit, sweep -coord) to a daemon or coordinator:
+// non-wantCode responses become *HTTPError (carrying the status and any
+// Retry-After hint) so RetryPolicy.Do retries exactly the transient ones;
+// transport failures pass through as-is. hc nil uses http.DefaultClient.
+func DoJSON(ctx context.Context, hc *http.Client, method, url string, body []byte, wantCode int, out any) error {
+	if hc == nil {
+		hc = http.DefaultClient
+	}
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -177,8 +182,12 @@ func rpcJSON(ctx context.Context, hc *http.Client, method, url string, body []by
 // for that key permanently.
 const maxStreamBytes = 256 << 20
 
-// rpcBytes performs one GET returning the raw body (the metrics stream).
-func rpcBytes(ctx context.Context, hc *http.Client, url string) ([]byte, error) {
+// GetBytes performs one GET returning the raw body (a metrics stream),
+// with the same error classification as DoJSON.
+func GetBytes(ctx context.Context, hc *http.Client, url string) ([]byte, error) {
+	if hc == nil {
+		hc = http.DefaultClient
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err

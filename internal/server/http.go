@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,22 +11,39 @@ import (
 	"strconv"
 )
 
-// apiError is an error with an HTTP status; handlers render it as the
-// {"error": ...} body with that status. Non-apiError failures are 500s.
-// retryAfter > 0 adds a Retry-After header (seconds) — the backpressure
+// APIError is an API failure with its HTTP status; handlers render it as
+// the {"error": ...} body with that status. Other errors are 500s.
+// RetryAfter > 0 adds a Retry-After header (seconds) — the backpressure
 // hint on 503 queue-full responses.
-type apiError struct {
-	code       int
-	msg        string
-	retryAfter int
+type APIError struct {
+	Status     int
+	Msg        string
+	RetryAfter int
 }
 
-func (e *apiError) Error() string { return e.msg }
+func (e *APIError) Error() string { return e.Msg }
 
 // maxRequestBody bounds POST bodies; a job request is a small spec.
 const maxRequestBody = 1 << 20
 
-// Handler returns the daemon's HTTP API:
+// JobService is the job table behind the HTTP API: the daemon's Server and
+// the cluster's Coordinator. Methods report client mistakes and missing
+// jobs as *APIError.
+type JobService interface {
+	Submit(req JobRequest) (JobStatus, error)
+	Job(id string) (JobStatus, error)
+	Jobs() []JobStatus
+	Cancel(id string) (JobStatus, error)
+	// Stream copies the job's NDJSON metrics stream (slot records from
+	// fromSlot on) into w, following it live until the job ends or ctx is
+	// cancelled. It returns an *APIError only before writing anything.
+	Stream(ctx context.Context, id string, w io.Writer, fromSlot int) error
+	// Draining reports whether a drain has begun (the /readyz signal).
+	Draining() bool
+	WriteMetrics(w io.Writer) error
+}
+
+// NewHandler returns the job API over svc:
 //
 //	POST   /v1/jobs              submit a job (JobRequest body) → 202 JobStatus
 //	GET    /v1/jobs              list jobs in submission order
@@ -35,22 +53,93 @@ const maxRequestBody = 1 << 20
 //	GET    /healthz              liveness probe (always 200 while serving)
 //	GET    /readyz               readiness probe (503 while draining)
 //	GET    /metrics              Prometheus text exposition
-func (s *Server) Handler() http.Handler {
+//
+// /healthz is pure liveness, 200 even mid-drain: restarting a deliberately
+// draining process would defeat the drain. The pre-replay window is covered
+// by ListenAndServe's bootstrap handler, so a probing coordinator never
+// routes leases at a daemon still recovering.
+func NewHandler(svc JobService) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/metrics", s.handleStream)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
+		if err != nil {
+			writeErr(w, &APIError{Status: 400, Msg: fmt.Sprintf("reading body: %v", err)})
+			return
+		}
+		if len(body) > maxRequestBody {
+			writeErr(w, &APIError{Status: 413, Msg: "request body exceeds 1 MiB"})
+			return
+		}
+		var req JobRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil {
+			writeErr(w, &APIError{Status: 400, Msg: fmt.Sprintf("decoding job request: %v", err)})
+			return
+		}
+		st, err := svc.Submit(req)
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		w.Header().Set("Location", "/v1/jobs/"+st.ID)
+		WriteJSON(w, http.StatusAccepted, st)
+	})
+	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]any{"jobs": svc.Jobs()})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		st, err := svc.Job(r.PathValue("id"))
+		writeStatus(w, st, err)
+	})
+	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		st, err := svc.Cancel(r.PathValue("id"))
+		writeStatus(w, st, err)
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/metrics", func(w http.ResponseWriter, r *http.Request) {
+		fromSlot := 0
+		if v := r.URL.Query().Get("from_slot"); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 {
+				writeErr(w, &APIError{Status: 400, Msg: fmt.Sprintf("from_slot: want a non-negative integer, got %q", v)})
+				return
+			}
+			fromSlot = n
+		}
+		// Headers go out with the first streamed byte; an *APIError comes
+		// before it and replaces them. Later failures (client gone, ctx
+		// done) can only end the stream early.
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("Cache-Control", "no-store")
+		var ae *APIError
+		if err := svc.Stream(r.Context(), r.PathValue("id"), w, fromSlot); errors.As(err, &ae) {
+			writeErr(w, ae)
+		}
+	})
+	mux.HandleFunc("GET /healthz", healthz)
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+		if svc.Draining() {
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+			return
+		}
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	})
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := svc.WriteMetrics(w); err != nil {
+			return // client went away mid-write
+		}
+	})
 	return mux
+}
+
+func healthz(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // writeJSON renders v with a status code; encoding failures are logged by
 // the http server via the returned write error path (nothing to recover).
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
@@ -65,121 +154,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeErr renders err as the API error body.
 func writeErr(w http.ResponseWriter, err error) {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		if ae.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
-		}
-		writeJSON(w, ae.code, map[string]string{"error": ae.msg})
-		return
+	var ae *APIError
+	if !errors.As(err, &ae) {
+		ae = &APIError{Status: http.StatusInternalServerError, Msg: err.Error()}
 	}
-	writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+	if ae.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(ae.RetryAfter))
+	}
+	WriteJSON(w, ae.Status, map[string]string{"error": ae.Msg})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
-	if err != nil {
-		writeErr(w, &apiError{code: 400, msg: fmt.Sprintf("reading body: %v", err)})
-		return
-	}
-	if len(body) > maxRequestBody {
-		writeErr(w, &apiError{code: 413, msg: "request body exceeds 1 MiB"})
-		return
-	}
-	var req JobRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, &apiError{code: 400, msg: fmt.Sprintf("decoding job request: %v", err)})
-		return
-	}
-	st, err := s.Submit(req)
+// writeStatus renders a job lookup: the status with 200, or the error.
+func writeStatus(w http.ResponseWriter, st JobStatus, err error) {
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	w.Header().Set("Location", "/v1/jobs/"+st.ID)
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.Jobs()})
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Job(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	fromSlot := 0
-	if v := r.URL.Query().Get("from_slot"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeErr(w, &apiError{code: 400, msg: fmt.Sprintf("from_slot: want a non-negative integer, got %q", v)})
-			return
-		}
-		fromSlot = n
-	}
-	// Headers must precede the first streamed byte; errors after that can
-	// only end the stream early.
-	s.mu.Lock()
-	_, ok := s.jobs[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		writeErr(w, &apiError{code: 404, msg: fmt.Sprintf("no such job %q", r.PathValue("id"))})
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	if err := s.Stream(r.Context(), r.PathValue("id"), w, fromSlot); err != nil {
-		var ae *apiError
-		if errors.As(err, &ae) {
-			// Nothing streamed yet for apiErrors (404/410 are pre-stream).
-			writeErr(w, err)
-		}
-		return // mid-stream failures (client gone, ctx done) just end it
-	}
-}
-
-// handleHealthz is pure liveness: 200 as long as the process serves, even
-// mid-drain — restarting a deliberately draining daemon would defeat the
-// drain. Readiness (take this instance out of rotation) is /readyz.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReadyz is readiness: 503 once draining (stop routing new work
-// here). The pre-replay window is covered one level up — cmd/greencelld
-// serves a bootstrap 503 /readyz until journal replay completes, so a
-// probing coordinator never routes leases at a daemon still recovering.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.WriteMetrics(w); err != nil {
-		return // client went away mid-write
-	}
+	WriteJSON(w, http.StatusOK, st)
 }

@@ -30,9 +30,9 @@ func TestJournalReplaysRemovedSpecField(t *testing.T) {
 	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := loadJournal(path)
+	entries, err := LoadJournal[journalEntry](path)
 	if err != nil {
-		t.Fatalf("loadJournal: %v", err)
+		t.Fatalf("LoadJournal: %v", err)
 	}
 	if len(entries) != 1 || entries[0].Req == nil ||
 		entries[0].Req.Spec.Slots != 2 || entries[0].Req.Spec.Seed != 3 {

@@ -17,8 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -52,7 +52,7 @@ type Server struct {
 	order  []string // submission order, for GET /v1/jobs
 	nextID int
 
-	journal  *journal
+	journal  *Journal[journalEntry]
 	queue    chan *Job
 	draining bool
 
@@ -111,7 +111,7 @@ func New(cfg Config) (*Server, error) {
 			cancel()
 			return nil, err
 		}
-		j, err := openJournal(cfg.JournalPath)
+		j, err := OpenJournal[journalEntry](cfg.JournalPath)
 		if err != nil {
 			cancel()
 			return nil, err
@@ -138,107 +138,73 @@ func New(cfg Config) (*Server, error) {
 
 // recover replays the journal into the job table: terminal jobs become
 // read-only history (their streams and results were not journaled), and
-// jobs whose last event is "submitted" or "started" are returned for
-// re-queueing — determinism makes the re-run equivalent to the interrupted
-// one.
+// interrupted jobs are returned for re-queueing — determinism makes the
+// re-run equivalent to the interrupted one.
 func (s *Server) recover(path string) ([]*Job, error) {
-	entries, err := loadJournal(path)
+	entries, err := LoadJournal[journalEntry](path)
 	if err != nil {
 		return nil, err
 	}
-	type folded struct {
-		req  *JobRequest
-		last string
-	}
-	byID := make(map[string]*folded)
-	var ids []string
-	for _, e := range entries {
-		f := byID[e.ID]
-		if f == nil {
-			f = &folded{}
-			byID[e.ID] = f
-			ids = append(ids, e.ID)
-		}
-		if e.Req != nil {
-			f.req = e.Req
-		}
-		f.last = e.Event
-		if n := jobIDNum(e.ID); n > s.nextID {
-			s.nextID = n
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return jobIDNum(ids[i]) < jobIDNum(ids[j]) })
-
+	replayed, next := ReplayJobs(entries, jobIDPrefix)
+	s.nextID = next
 	var requeue []*Job
-	for _, id := range ids {
-		f := byID[id]
-		if f.req == nil {
-			fmt.Fprintf(os.Stderr, "greencelld: journal: job %s has no submitted event; skipping\n", id)
-			continue
-		}
-		seeds, err := f.req.Normalize()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "greencelld: journal: job %s no longer validates (%v); skipping\n", id, err)
-			continue
-		}
-		sc, err := f.req.Spec.Scenario()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "greencelld: journal: job %s spec no longer materializes (%v); skipping\n", id, err)
-			continue
-		}
-		j := newJob(id, *f.req, seeds, sc.Slots)
+	for _, r := range replayed {
+		j := newJob(r.ID, r.Req, r.Seeds, r.Slots)
 		j.recovered = true
-		switch f.last {
-		case "submitted", "started":
-			s.jobs[id] = j
-			s.order = append(s.order, id)
+		s.jobs[r.ID] = j
+		s.order = append(s.order, r.ID)
+		if r.Interrupted() {
 			s.cSubmitted.Inc()
 			s.cRecovered.Inc()
 			s.gQueued.Set(s.gQueued.Value() + 1)
 			requeue = append(requeue, j)
-		case "done", "failed", "cancelled":
-			// Historical: keep it listable, but its stream is gone.
-			j.state = JobState(f.last)
-			if err := j.log.Close(); err != nil {
-				return nil, err // unreachable: a fresh log always closes
-			}
-			j.log = nil
-			close(j.done)
-			s.jobs[id] = j
-			s.order = append(s.order, id)
-		default:
-			fmt.Fprintf(os.Stderr, "greencelld: journal: job %s has unknown event %q; skipping\n", id, f.last)
+			continue
 		}
+		// Historical: keep it listable, but its stream is gone.
+		j.state = JobState(r.Last)
+		if err := j.log.Close(); err != nil {
+			return nil, err // unreachable: a fresh log always closes
+		}
+		j.log = nil
+		close(j.done)
 	}
 	return requeue, nil
+}
+
+// jobIDPrefix starts every daemon job ID.
+const jobIDPrefix = "job-"
+
+// jobID renders the canonical ID for job number n.
+func jobID(n int) string {
+	return fmt.Sprintf("%s%06d", jobIDPrefix, n)
 }
 
 // Submit validates, journals, and enqueues a job, returning its status.
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	seeds, err := req.Normalize()
 	if err != nil {
-		return JobStatus{}, &apiError{code: 400, msg: err.Error()}
+		return JobStatus{}, &APIError{Status: 400, Msg: err.Error()}
 	}
 	sc, err := req.Spec.Scenario()
 	if err != nil {
-		return JobStatus{}, &apiError{code: 400, msg: err.Error()}
+		return JobStatus{}, &APIError{Status: 400, Msg: err.Error()}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return JobStatus{}, &apiError{code: 503, msg: "server is draining; not accepting jobs"}
+		return JobStatus{}, &APIError{Status: 503, Msg: "server is draining; not accepting jobs"}
 	}
 	if len(s.queue) == cap(s.queue) {
 		// Retry-After: the queue drains at job granularity, so a short
 		// client-side pause is the right unit; the submit clients honor it
 		// inside their shared backoff helper.
-		return JobStatus{}, &apiError{code: 503, msg: "job queue is full", retryAfter: 1}
+		return JobStatus{}, &APIError{Status: 503, Msg: "job queue is full", RetryAfter: 1}
 	}
 	s.nextID++
 	id := jobID(s.nextID)
 	j := newJob(id, req, seeds, sc.Slots)
-	if err := s.journal.append(journalEntry{Event: "submitted", ID: id, Req: &req}); err != nil {
+	if err := s.journal.Append(journalEntry{Event: "submitted", ID: id, Req: &req}); err != nil {
 		return JobStatus{}, fmt.Errorf("journal: %w", err)
 	}
 	s.jobs[id] = j
@@ -256,7 +222,7 @@ func (s *Server) Job(id string) (JobStatus, error) {
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return JobStatus{}, &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
+		return JobStatus{}, &APIError{Status: 404, Msg: fmt.Sprintf("no such job %q", id)}
 	}
 	return j.status(), nil
 }
@@ -279,7 +245,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 	j, ok := s.jobs[id]
 	if !ok {
 		s.mu.Unlock()
-		return JobStatus{}, &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
+		return JobStatus{}, &APIError{Status: 404, Msg: fmt.Sprintf("no such job %q", id)}
 	}
 	switch {
 	case j.state.Terminal():
@@ -293,7 +259,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		j.cancelReason = cancelUser
 		j.errMsg = "cancelled"
 		j.finishedAt = now()
-		err := s.journal.append(journalEntry{Event: "cancelled", ID: id})
+		err := s.journal.Append(journalEntry{Event: "cancelled", ID: id})
 		s.cCancelled.Inc()
 		s.gQueued.Set(s.gQueued.Value() - 1)
 		if j.log != nil {
@@ -333,10 +299,10 @@ func (s *Server) Stream(ctx context.Context, id string, w io.Writer, fromSlot in
 	}
 	s.mu.Unlock()
 	if !ok {
-		return &apiError{code: 404, msg: fmt.Sprintf("no such job %q", id)}
+		return &APIError{Status: 404, Msg: fmt.Sprintf("no such job %q", id)}
 	}
 	if log == nil {
-		return &apiError{code: 410, msg: fmt.Sprintf("job %q predates this daemon instance; its stream was not journaled", id)}
+		return &APIError{Status: 410, Msg: fmt.Sprintf("job %q predates this daemon instance; its stream was not journaled", id)}
 	}
 	return log.stream(ctx, w, fromSlot)
 }
@@ -369,7 +335,7 @@ func (s *Server) worker() {
 		j.state = JobRunning
 		j.startedAt = now()
 		j.cancel = cancel
-		err := s.journal.append(journalEntry{Event: "started", ID: j.ID})
+		err := s.journal.Append(journalEntry{Event: "started", ID: j.ID})
 		s.gQueued.Set(s.gQueued.Value() - 1)
 		s.gRunning.Set(s.gRunning.Value() + 1)
 		s.mu.Unlock()
@@ -480,7 +446,7 @@ func (s *Server) finish(j *Job, res *JobResult, streamReg *metrics.Registry, run
 	}
 	var jerr error
 	if event != "" {
-		jerr = s.journal.append(journalEntry{Event: event, ID: j.ID, Error: j.errMsg})
+		jerr = s.journal.Append(journalEntry{Event: event, ID: j.ID, Error: j.errMsg})
 	}
 	s.gRunning.Set(s.gRunning.Value() - 1)
 	if j.log != nil {
@@ -493,6 +459,16 @@ func (s *Server) finish(j *Job, res *JobResult, streamReg *metrics.Registry, run
 	if jerr != nil {
 		fmt.Fprintf(os.Stderr, "greencelld: journal: %v\n", jerr)
 	}
+}
+
+// Handler returns the daemon's HTTP API (NewHandler over the server).
+func (s *Server) Handler() *http.ServeMux { return NewHandler(s) }
+
+// Draining reports whether a drain has begun.
+func (s *Server) Draining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
 }
 
 // WriteMetrics renders the serving registry in Prometheus text format.

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -267,9 +268,9 @@ func TestDrainLeavesRunningJobRecoverable(t *testing.T) {
 		t.Fatal("Submit after drain succeeded")
 	}
 
-	entries, err := loadJournal(journalPath)
+	entries, err := LoadJournal[journalEntry](journalPath)
 	if err != nil {
-		t.Fatalf("loadJournal: %v", err)
+		t.Fatalf("LoadJournal: %v", err)
 	}
 	last := ""
 	for _, e := range entries {
@@ -363,8 +364,8 @@ func TestJournalRecovery(t *testing.T) {
 	}
 	var sink bytes.Buffer
 	err = s.Stream(context.Background(), "job-000001", &sink, 0)
-	var ae *apiError
-	if err == nil || !asAPIError(err, &ae) || ae.code != 410 {
+	var ae *APIError
+	if err == nil || !errors.As(err, &ae) || ae.Status != 410 {
 		t.Fatalf("streaming a pre-restart job: err = %v, want 410", err)
 	}
 
@@ -382,22 +383,6 @@ func TestJournalRecovery(t *testing.T) {
 	if st3.ID != "job-000003" {
 		t.Fatalf("next ID = %s, want job-000003", st3.ID)
 	}
-}
-
-// asAPIError is errors.As without importing errors in every call site.
-func asAPIError(err error, target **apiError) bool {
-	for err != nil {
-		if ae, ok := err.(*apiError); ok {
-			*target = ae
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // TestHTTPAPI exercises the full wire surface against a live handler.
