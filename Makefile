@@ -8,8 +8,8 @@
 # fault soak (docs/ROBUSTNESS.md): a long run with every injection site
 # firing at an elevated rate, per-slot invariants on, under the race
 # detector — the serve and cluster smokes (docs/SERVER.md,
-# docs/CLUSTER.md) — and bench-json, the benchmark trajectory gate
-# (docs/PERFORMANCE.md).
+# docs/CLUSTER.md), bench-json, the benchmark trajectory gate
+# (docs/PERFORMANCE.md), and validate, the reproduction certificate.
 
 GO ?= go
 FUZZTIME ?= 15s
@@ -18,11 +18,11 @@ FUZZTIME ?= 15s
 # driver's -analyzers selection path; must match analysis.All().
 ANALYZERS = norawrand,nofloateq,droppederr,unguardedgo,unitmix,mapiter,wallclock,detflow,locksafe,hotalloc,resleak,ctxflow,errcmp
 
-.PHONY: check ci build vet perfbench-check lint lint-audit lint-sarif test race fuzz soak bench bench-json fmt fmtcheck units-check dist-check serve-smoke cluster-smoke figures clean
+.PHONY: check ci build vet perfbench-check lint lint-audit lint-sarif test race fuzz soak bench bench-json fmt fmtcheck units-check dist-check serve-smoke cluster-smoke validate figures clean
 
 check: build vet lint race perfbench-check
 
-ci: fmtcheck check lint-audit lint-sarif units-check dist-check fuzz soak serve-smoke cluster-smoke bench-json
+ci: fmtcheck check lint-audit lint-sarif units-check dist-check fuzz soak serve-smoke cluster-smoke bench-json validate
 
 build:
 	$(GO) build ./...
@@ -111,6 +111,13 @@ serve-smoke:
 # from the content-addressed cache (zero new dispatches).
 cluster-smoke:
 	GREENCELL_CLUSTER_SMOKE=1 $(GO) test -run TestClusterSmoke -timeout 300s -v ./internal/cluster
+
+# Reproduction certificate (about 3 s): the seven paper checks — Lemma 1
+# drift, strong stability, no deficit, conservation, the Theorem 4/5
+# bound sandwich and its tightening in V, and the architecture ranking of
+# Fig. 2(f). Exits 1 if any check fails.
+validate:
+	$(GO) run ./cmd/validate
 
 figures:
 	$(GO) run ./cmd/figures -out out

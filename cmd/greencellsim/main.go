@@ -58,7 +58,7 @@ func run(args []string) (err error) {
 		metricsCSV = fs.String("metrics-csv", "", "also write the metrics stream as CSV to this file (requires -metrics)")
 		metricsGap = fs.Bool("metrics-gap", false, "record the S1 heuristic-vs-LP-relaxation optimality gap each slot (roughly doubles S1 work)")
 		faults     = fs.Float64("faults", 0, "fault-injection probability per site per slot (deterministic by seed; docs/ROBUSTNESS.md)")
-		budgetIter = fs.Int("budget-iters", 0, "max simplex iterations per LP solve (0 = unlimited)")
+		budgetIter = fs.Int("budget-iters", 0, "max simplex iterations per S1 LP solve (0 = unlimited)")
 		deadline   = fs.Duration("deadline", 0, "per-slot wall-clock solve deadline (0 = none; overruns degrade, not fail)")
 		check      = fs.Bool("check", false, "validate every slot against the paper's per-slot invariants (eqs. (9)-(14), (22), (25), (30))")
 		submitURL  = fs.String("submit", "", "submit as a job to a running greencelld at this base URL (e.g. http://127.0.0.1:8080) instead of simulating locally")

@@ -102,9 +102,10 @@ type Config struct {
 // stage exhausts its budget the controller does not error: it falls back to
 // the stage's safe action and marks the slot degraded.
 type SolveBudget struct {
-	// MaxLPIterations caps the total simplex iterations of each LP solve
-	// triggered by S1 and S4 (lp.Problem.SetIterationLimit); 0 = no cap
-	// beyond the engines' built-in safety limit.
+	// MaxLPIterations caps the total simplex iterations of each S1 LP
+	// solve (lp.Problem.SetIterationLimit); 0 = no cap beyond the engine's
+	// built-in safety limit. S4 is a merit-order dispatch with no LP and
+	// no budget.
 	MaxLPIterations int
 	// SlotDeadline is the wall-clock budget for one Step's solves; 0 = no
 	// deadline. Once spent, every remaining stage of the slot takes its
@@ -246,9 +247,11 @@ type StageBreakdown struct {
 	// SchedLPSolves / SchedLPIterations are S1's LP work: solve count and
 	// total simplex iterations (zero for LP-free schedulers like Greedy).
 	SchedLPSolves, SchedLPIterations int
-	// S4LPSolves / S4LPIterations are the energy-management LP work.
+	// S4LPSolves / S4LPIterations always read 0, since S4 solves no LP;
+	// they stay so the metrics schema keeps its s4_lp_* fields
+	// (docs/METRICS.md).
 	S4LPSolves, S4LPIterations int
-	// LPWarmStarts / LPBasisInvalidations aggregate the S1+S4 warm-start
+	// LPWarmStarts / LPBasisInvalidations aggregate the S1 warm-start
 	// counters; they feed the lp_warm_starts_total and
 	// lp_basis_invalidations_total metrics.
 	LPWarmStarts, LPBasisInvalidations int
@@ -284,10 +287,8 @@ type Controller struct {
 	cfg   Config
 	sched sched.Scheduler
 
-	// warmSched / warmS4 carry the S1 and S4 LP bases across slots
-	// (docs/PERFORMANCE.md).
+	// warmSched carries the S1 LP bases across slots (docs/PERFORMANCE.md).
 	warmSched *sched.WarmState
-	warmS4    *energymgmt.WarmState
 
 	// q[s][i] is Q_i^s(t); the destination's entry stays zero.
 	q [][]queueing.Queue
@@ -347,7 +348,6 @@ func New(cfg Config) (*Controller, error) {
 		cfg:       cfg,
 		sched:     cfg.Scheduler,
 		warmSched: &sched.WarmState{},
-		warmS4:    &energymgmt.WarmState{},
 	}
 	if c.sched == nil {
 		c.sched = sched.SequentialFix{}
@@ -969,13 +969,7 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 			IsBS:                net.IsBS(i),
 		}
 	}
-	req4 := &energymgmt.Request{
-		Nodes:           inputs,
-		V:               c.cfg.V,
-		Cost:            c.cfg.Cost,
-		MaxLPIterations: c.cfg.Budget.MaxLPIterations,
-		Warm:            c.warmS4,
-	}
+	req4 := &energymgmt.Request{Nodes: inputs, V: c.cfg.V, Cost: c.cfg.Cost}
 	var dec4 *energymgmt.Decision
 	var errS4 error
 	switch {
@@ -1024,10 +1018,6 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 	}
 	if st != nil {
 		st.S4NS = time.Since(mark).Nanoseconds()
-		st.S4LPSolves = dec4.LPSolves
-		st.S4LPIterations = dec4.LPIterations
-		st.LPWarmStarts += dec4.WarmStarts
-		st.LPBasisInvalidations += dec4.BasisInvalidations
 	}
 	if audit != nil {
 		after := c.snapshot()

@@ -5,7 +5,7 @@
 //	s.t. constraints (9)–(14), with P = Σ_{i∈B} (g_i + c_i^g)
 //
 // The paper hands S4 to CPLEX as a convex program. Here it is solved
-// exactly by structure instead:
+// exactly by price, as an economic dispatch:
 //
 //   - The no-simultaneous-charge-and-discharge constraint (9) is without
 //     loss of generality: any solution with c_i > 0 and d_i > 0 converts to
@@ -13,26 +13,38 @@
 //     and redirecting the freed charging source (grid or renewable) to the
 //     demand d_i was serving. Total grid draw, net battery change, and every
 //     constraint are preserved. S4 is therefore jointly convex.
-//   - With (9) relaxed, each node's decision is linear; the only coupling
-//     is the convex f on the total base-station draw P. The solver runs a
-//     golden-section search over the draw budget T, evaluating an inner LP
-//     (on the in-repo simplex) that optimizes all base stations under
-//     Σ(g_i + c_i^g) ≤ T; inner(T) + V·f(T) is convex in T.
+//   - With (9) relaxed, a node's objective depends only on its net battery
+//     change c_i − d_i, worth −z_i per Wh. When z_i > 0 the node discharges
+//     all it may and takes the least grid that serves the rest of its
+//     demand. When z_i < 0 free renewable serves demand and charges the
+//     battery first. Either way, what grid remains to choose is one
+//     interval per node: a base draw b_i, the grid demand needs once the
+//     battery discharges all it may, which is always taken; and a flexible
+//     block w_i on top of it (zero when z_i ≥ 0), which spares discharge
+//     or charges the battery and is worth −z_i per Wh.
+//   - The only coupling is the convex f on the base stations' total draw
+//     P. At a grid price μ a block is worth taking exactly when −z_i > μ,
+//     so the optimum is a merit order at the clearing price μ* = V·f′(P*):
+//     blocks are taken whole in order of −z_i while the marginal cost
+//     stays below their worth, the first that does not fit is split where
+//     V·f′ meets −z_i, and the rest are not taken. At a tie nothing is
+//     taken.
 //   - Non-base-station nodes do not appear in f (the paper prices only
-//     base-station energy) and are solved independently.
+//     base-station energy): their grid is unpriced, μ = 0.
 //
-// A non-negative "deficit" slack with a dominating penalty keeps the
-// program feasible when a node's battery+renewable+grid cannot cover its
-// demand; deficits are surfaced so the simulator can report them.
+// A node whose renewable, discharge headroom and grid together cannot
+// cover its demand reports the remainder as deficit, so the simulator can
+// surface it; no other decision leaves demand unserved.
 package energymgmt
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"greencell/internal/energy"
-	"greencell/internal/lp"
 	"greencell/internal/units"
 )
 
@@ -88,21 +100,12 @@ type Decision struct {
 	Objective float64
 	// TotalDeficitWh sums unserved demand across nodes.
 	TotalDeficitWh units.Energy
-	// MarginalPriceWh is V·f'(P), the shadow price of one more Wh of grid
-	// energy at the optimum — the signal the decomposition prices nodes
-	// against.
+	// MarginalPriceWh is the grid price μ* the dispatch cleared at, equal
+	// to V·f'(P) up to rounding: every base station whose flexible grid is
+	// worth more than it per Wh draws its whole block, every one worth
+	// less draws only its base. It is the signal the decomposition prices
+	// nodes against.
 	MarginalPriceWh units.Price
-	// LPSolves / LPIterations report the optimization work behind this
-	// decision (per-node LPs plus every golden-section probe), for the
-	// metrics layer (docs/METRICS.md).
-	LPSolves     int
-	LPIterations int
-	// WarmStarts / BasisInvalidations count warm-started inner solves and
-	// reused bases discarded for a cold rebuild; they feed the
-	// lp_warm_starts_total and lp_basis_invalidations_total metrics
-	// (docs/METRICS.md).
-	WarmStarts         int
-	BasisInvalidations int
 }
 
 // Request is one slot's energy-management problem.
@@ -112,90 +115,173 @@ type Request struct {
 	V float64
 	// Cost is f.
 	Cost energy.CostFunc
-	// DeficitPenalty is the per-Wh cost of unserved demand; 0 means an
-	// automatic value that dominates every legitimate marginal cost.
-	DeficitPenalty float64
-	// MaxLPIterations, when positive, caps the total simplex iterations of
-	// each inner LP solve (lp.Problem.SetIterationLimit). An exhausted
-	// budget surfaces as an error wrapping ErrIterationLimit, on which the
-	// controller falls back to the greedy safe-action energy split
-	// (docs/ROBUSTNESS.md).
-	MaxLPIterations int
-	// Warm carries the inner programs' LP bases from one Solve call to the
-	// next (WarmState, docs/PERFORMANCE.md). nil means a fresh state for
-	// this call only.
-	Warm *WarmState
 }
 
 // ErrRequest reports an invalid request.
 var ErrRequest = errors.New("energymgmt: invalid request")
 
 // Typed solver-outcome sentinels, mirroring package sched: they classify
-// how a structurally valid solve failed so the controller's degradation
-// path can branch with errors.Is. ErrRequest remains a caller bug and is
-// not a degradation trigger.
+// how an S4 solve failed so the controller's degradation path can branch
+// with errors.Is. Solve itself returns neither (the dispatch always
+// succeeds on a valid request); they label the injected S4 faults
+// (docs/ROBUSTNESS.md). ErrRequest remains a caller bug and is not a
+// degradation trigger.
 var (
-	// ErrInfeasible reports that an inner LP ended infeasible (or
-	// otherwise failed to reach an optimum). The deficit slack makes
-	// every S4 program feasible, so organically this indicates numerical
-	// trouble.
+	// ErrInfeasible reports an S4 solve that failed to reach an optimum.
 	ErrInfeasible = errors.New("energymgmt: infeasible")
-	// ErrIterationLimit reports that an inner LP exhausted its iteration
-	// budget (Request.MaxLPIterations or the engine safety cap).
+	// ErrIterationLimit reports an S4 solve that exhausted its iteration
+	// budget.
 	ErrIterationLimit = errors.New("energymgmt: iteration limit")
 )
 
-// Solve computes the S4 decision.
+// block is one base station's flexible grid: wh more Wh on top of its base
+// draw, each worth value = −z_i.
+type block struct {
+	node      int
+	value, wh float64
+}
+
+// Solve computes the S4 decision by merit-order dispatch (package doc).
 func Solve(req *Request) (*Decision, error) {
-	if req.Cost == nil {
-		return nil, fmt.Errorf("%w: nil cost function", ErrRequest)
-	}
-	if req.V < 0 {
-		return nil, fmt.Errorf("%w: negative V", ErrRequest)
-	}
-	for i, n := range req.Nodes {
-		if n.DemandWh < 0 || n.RenewableWh < 0 || n.ChargeHeadroomWh < 0 ||
-			n.DischargeHeadroomWh < 0 || n.GridCapWh < 0 {
-			return nil, fmt.Errorf("%w: node %d has negative field: %+v", ErrRequest, i, n)
-		}
-	}
-
-	pMax := units.Energy(0)
-	maxAbsZ := 0.0
-	for _, n := range req.Nodes {
-		if n.IsBS && n.GridConnected {
-			pMax += n.GridCapWh
-		}
-		if a := math.Abs(n.Z.Wh()); a > maxAbsZ {
-			maxAbsZ = a
-		}
-	}
-	pen := req.DeficitPenalty
-	if pen == 0 {
-		pen = 10*(maxAbsZ+req.V*req.Cost.MaxDeriv(pMax).PerWh()) + 1e6
-	}
-
-	dec := &Decision{Nodes: make([]NodeDecision, len(req.Nodes))}
-	bs := make([]int, 0, len(req.Nodes))
-	for i, n := range req.Nodes {
-		if n.IsBS {
-			bs = append(bs, i)
-		}
-	}
-
-	warm := req.Warm
-	if warm == nil {
-		warm = &WarmState{}
-	}
-	if err := warm.solveInto(req, dec, bs, pen, pMax); err != nil {
+	if err := validate(req); err != nil {
 		return nil, err
 	}
-
-	// Restore complementarity (9) — objective-preserving (see package doc).
-	for i := range dec.Nodes {
-		enforceComplementarity(&dec.Nodes[i])
+	dec := &Decision{Nodes: make([]NodeDecision, len(req.Nodes))}
+	blocks := make([]block, 0, len(req.Nodes))
+	base := 0.0 // Σ b_i over base stations
+	for i, n := range req.Nodes {
+		nd, room := baseFlows(n)
+		switch {
+		case room <= 0:
+		case !n.IsBS:
+			nd.addGrid(room) // unpriced grid: μ = 0 < −z_i
+		default:
+			blocks = append(blocks, block{node: i, value: -n.Z.Wh(), wh: room})
+		}
+		dec.Nodes[i] = nd
+		if n.IsBS {
+			base += nd.GridDrawWh().Wh()
+		}
 	}
+	dec.MarginalPriceWh = dispatch(req, blocks, dec.Nodes, base)
+	dec.aggregate(req)
+	return dec, nil
+}
 
+// validate rejects a request the dispatch cannot price: a missing cost, a
+// negative or non-finite V, a non-finite z_i, or a negative or non-finite
+// magnitude.
+func validate(req *Request) error {
+	if req.Cost == nil {
+		return fmt.Errorf("%w: nil cost function", ErrRequest)
+	}
+	if !magnitude(req.V) {
+		return fmt.Errorf("%w: V = %v", ErrRequest, req.V)
+	}
+	for i, n := range req.Nodes {
+		if z := n.Z.Wh(); math.IsNaN(z) || math.IsInf(z, 0) ||
+			!magnitude(n.DemandWh.Wh()) || !magnitude(n.RenewableWh.Wh()) ||
+			!magnitude(n.ChargeHeadroomWh.Wh()) || !magnitude(n.DischargeHeadroomWh.Wh()) ||
+			!magnitude(n.GridCapWh.Wh()) {
+			return fmt.Errorf("%w: node %d has a negative or non-finite field: %+v", ErrRequest, i, n)
+		}
+	}
+	return nil
+}
+
+// magnitude reports whether x is finite and non-negative.
+func magnitude(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// baseFlows returns node n's flows at its base draw b_i, the least grid
+// that serves its demand, and the room w_i for more grid worth −z_i per
+// Wh, grid that spares discharge or charges the battery. Grid is capped
+// at ω_i·p_i^max (eq. (14)); demand nothing can serve is deficit.
+func baseFlows(n NodeInput) (nd NodeDecision, room float64) {
+	e, r := n.DemandWh.Wh(), n.RenewableWh.Wh()
+	hc, hd := n.ChargeHeadroomWh.Wh(), n.DischargeHeadroomWh.Wh()
+	gridCap := 0.0
+	if n.GridConnected {
+		gridCap = n.GridCapWh.Wh()
+	}
+	var ru, d, need float64
+	if n.Z > 0 {
+		// Discharge is worth z_i > 0 per Wh, so it serves demand before
+		// renewable does, and unused renewable spills.
+		d = math.Min(hd, e)
+		ru = math.Min(r, e-d)
+		need = e - d - ru
+	} else {
+		// Free renewable serves demand first; discharge serves what it can
+		// of the rest.
+		ru = math.Min(r, e)
+		d = math.Min(hd, e-ru)
+		need = e - ru - d
+	}
+	// Grid serves what remains, up to its cap; the rest is deficit.
+	g := math.Min(need, gridCap)
+	nd = NodeDecision{RenewToDemand: units.Wh(ru), GridToDemand: units.Wh(g),
+		DischargeWh: units.Wh(d), DeficitWh: units.Wh(need - g)}
+	if n.Z >= 0 {
+		return nd, 0 // more grid is worth −z_i ≤ 0, so none is taken
+	}
+	// Charging is worth −z_i > 0 per Wh: leftover renewable fills the
+	// battery first, and grid may fill the headroom it leaves.
+	cr := math.Min(r-ru, hc)
+	nd.RenewToBattery = units.Wh(cr)
+	return nd, math.Min(e-ru+(hc-cr), gridCap) - g
+}
+
+// addGrid gives the node delta more grid: it displaces discharge first and
+// charges the battery with the rest, so charge and discharge are never
+// both non-zero.
+func (nd *NodeDecision) addGrid(delta float64) {
+	spared := math.Min(delta, nd.DischargeWh.Wh())
+	nd.DischargeWh -= units.Wh(spared)
+	nd.GridToDemand += units.Wh(spared)
+	nd.GridToBattery += units.Wh(delta - spared)
+}
+
+// dispatch walks the base stations' flexible blocks in merit order (−z_i
+// descending, ties by node index) from the base draw p, gives each node
+// the grid its block takes, and returns the clearing price μ*.
+func dispatch(req *Request, blocks []block, nodes []NodeDecision, p float64) units.Price {
+	slices.SortFunc(blocks, func(a, b block) int {
+		if c := cmp.Compare(b.value, a.value); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.node, b.node)
+	})
+	price := func(q float64) float64 { return req.V * req.Cost.Deriv(units.Wh(q)).PerWh() }
+	for _, bl := range blocks {
+		if price(p+bl.wh) <= bl.value {
+			nodes[bl.node].addGrid(bl.wh)
+			p += bl.wh
+			continue
+		}
+		if price(p) < bl.value {
+			// Split the block where V·f′ meets −z_i, by bisection on f′.
+			lo, hi := 0.0, bl.wh
+			for it := 0; it < 100; it++ {
+				mid := lo + (hi-lo)/2
+				if mid <= lo || mid >= hi {
+					break
+				}
+				if price(p+mid) <= bl.value {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			nodes[bl.node].addGrid(lo)
+			p += lo
+		}
+		return units.PricePerWh(math.Max(price(p), bl.value))
+	}
+	return units.PricePerWh(price(p))
+}
+
+// aggregate fills the decision's totals from its per-node flows.
+func (dec *Decision) aggregate(req *Request) {
 	p := units.Energy(0)
 	obj := 0.0
 	deficit := units.Energy(0)
@@ -211,8 +297,6 @@ func Solve(req *Request) (*Decision, error) {
 	dec.EnergyCost = req.Cost.Eval(p)
 	dec.Objective = obj + req.V*dec.EnergyCost.Value()
 	dec.TotalDeficitWh = deficit
-	dec.MarginalPriceWh = req.Cost.Deriv(p).Scale(req.V)
-	return dec, nil
 }
 
 // SafeDecision returns the documented safe-action energy split used when
@@ -227,9 +311,6 @@ func Solve(req *Request) (*Decision, error) {
 // for unconditional feasibility, and never errors.
 func SafeDecision(req *Request) *Decision {
 	dec := &Decision{Nodes: make([]NodeDecision, len(req.Nodes))}
-	p := units.Energy(0)
-	obj := 0.0
-	deficit := units.Energy(0)
 	for i, n := range req.Nodes {
 		need := n.DemandWh
 		r := units.Wh(math.Min(n.RenewableWh.Wh(), need.Wh()))
@@ -247,186 +328,8 @@ func SafeDecision(req *Request) *Decision {
 			DischargeWh:   d,
 			DeficitWh:     need,
 		}
-		if n.IsBS {
-			p += g
-		}
-		obj -= n.Z.Wh() * d.Wh()
-		deficit += need
 	}
-	dec.GridTotalWh = p
-	dec.EnergyCost = req.Cost.Eval(p)
-	dec.Objective = obj + req.V*dec.EnergyCost.Value()
-	dec.TotalDeficitWh = deficit
-	dec.MarginalPriceWh = req.Cost.Deriv(p).Scale(req.V)
+	dec.aggregate(req)
+	dec.MarginalPriceWh = req.Cost.Deriv(dec.GridTotalWh).Scale(req.V)
 	return dec
-}
-
-// nodeVars holds one node's LP variable handles, in the order buildNodesLP
-// adds them.
-type nodeVars struct{ r, cr, g, cg, d, u lp.VarID }
-
-// buildNodesLP constructs the relaxed joint LP over the given nodes, with
-// the total-grid-draw budget row appended last (when budgeted is true and
-// budget is finite). It returns the variable handles in nodes order. The
-// row layout is fixed — four constraints per node in nodes order (renew,
-// chargecap, gridcap, demand), then the budget row — so a basis exported
-// for one slot's program fits the next slot's over the same node set.
-func buildNodesLP(req *Request, nodes []int, budget, pen float64, budgeted bool) (*lp.Problem, []nodeVars) {
-	p := lp.NewProblem(lp.Minimize)
-	p.SetIterationLimit(req.MaxLPIterations)
-	inf := math.Inf(1)
-	vs := make([]nodeVars, len(nodes))
-
-	budgetTerms := make([]lp.Term, 0, 2*len(nodes))
-	for k, i := range nodes {
-		n := req.Nodes[i]
-		gridCap := 0.0
-		if n.GridConnected {
-			gridCap = n.GridCapWh.Wh()
-		}
-		z := n.Z.Wh()
-		v := nodeVars{
-			r:  p.AddVar("r", 0, inf, 0),
-			cr: p.AddVar("cr", 0, inf, z),
-			g:  p.AddVar("g", 0, inf, 0),
-			cg: p.AddVar("cg", 0, inf, z),
-			d:  p.AddVar("d", 0, n.DischargeHeadroomWh.Wh(), -z),
-			u:  p.AddVar("u", 0, inf, pen),
-		}
-		vs[k] = v
-		// (3) with spill allowed: r + c^r ≤ R.
-		p.AddConstraint("renew", lp.LE, n.RenewableWh.Wh(),
-			lp.Term{Var: v.r, Coef: 1}, lp.Term{Var: v.cr, Coef: 1})
-		// (11): c^r + c^g ≤ charge headroom.
-		p.AddConstraint("chargecap", lp.LE, n.ChargeHeadroomWh.Wh(),
-			lp.Term{Var: v.cr, Coef: 1}, lp.Term{Var: v.cg, Coef: 1})
-		// (14): g + c^g ≤ p^max (zero when disconnected).
-		p.AddConstraint("gridcap", lp.LE, gridCap,
-			lp.Term{Var: v.g, Coef: 1}, lp.Term{Var: v.cg, Coef: 1})
-		// Demand balance: g + r + d + u = E.
-		p.AddConstraint("demand", lp.EQ, n.DemandWh.Wh(),
-			lp.Term{Var: v.g, Coef: 1}, lp.Term{Var: v.r, Coef: 1},
-			lp.Term{Var: v.d, Coef: 1}, lp.Term{Var: v.u, Coef: 1})
-		if budgeted {
-			budgetTerms = append(budgetTerms,
-				lp.Term{Var: v.g, Coef: 1}, lp.Term{Var: v.cg, Coef: 1})
-		}
-	}
-	if budgeted && !math.IsInf(budget, 1) {
-		p.AddConstraint("budget", lp.LE, budget, budgetTerms...)
-	}
-	return p, vs
-}
-
-// mapOutcome translates an inner-LP result onto the package's error
-// vocabulary: hard solve errors pass through wrapped, non-optimal statuses
-// become the typed ErrIterationLimit / ErrInfeasible sentinels the
-// controller's degradation path branches on. The solution (when any) is
-// returned alongside the error so callers can still report iterations.
-func mapOutcome(sol *lp.Solution, err error) (*lp.Solution, error) {
-	if err != nil {
-		return nil, fmt.Errorf("energymgmt: node LP: %w", err)
-	}
-	if sol.Status != lp.Optimal {
-		if sol.Status == lp.IterationLimit {
-			return sol, fmt.Errorf("node LP: %w", ErrIterationLimit)
-		}
-		return sol, fmt.Errorf(
-			"node LP: %w (status %v; deficit slack should make it feasible)", ErrInfeasible, sol.Status)
-	}
-	return sol, nil
-}
-
-// decisionFrom reads one node's decision out of a solved LP.
-func decisionFrom(sol *lp.Solution, v nodeVars) NodeDecision {
-	return NodeDecision{
-		RenewToDemand:  units.Wh(sol.Value(v.r)),
-		RenewToBattery: units.Wh(sol.Value(v.cr)),
-		GridToDemand:   units.Wh(sol.Value(v.g)),
-		GridToBattery:  units.Wh(sol.Value(v.cg)),
-		DischargeWh:    units.Wh(sol.Value(v.d)),
-		DeficitWh:      units.Wh(sol.Value(v.u)),
-	}
-}
-
-// enforceComplementarity converts a relaxed decision (possibly charging and
-// discharging at once) into the equal-objective complementary form: reduce
-// charge and discharge by m = min(c, d), redirecting the freed grid
-// charging to grid-to-demand and freed renewable charging to
-// renewable-to-demand.
-func enforceComplementarity(nd *NodeDecision) {
-	m := nd.ChargeWh()
-	if nd.DischargeWh < m {
-		m = nd.DischargeWh
-	}
-	if m <= 0 {
-		return
-	}
-	fromGrid := units.Wh(math.Min(nd.GridToBattery.Wh(), m.Wh()))
-	nd.GridToBattery -= fromGrid
-	nd.GridToDemand += fromGrid
-	fromRenew := m - fromGrid
-	nd.RenewToBattery -= fromRenew
-	nd.RenewToDemand += fromRenew
-	nd.DischargeWh -= m
-	if nd.DischargeWh < 1e-12 {
-		nd.DischargeWh = 0
-	}
-	if nd.RenewToBattery < 1e-12 {
-		nd.RenewToBattery = 0
-	}
-	if nd.GridToBattery < 1e-12 {
-		nd.GridToBattery = 0
-	}
-}
-
-// goldenSection minimizes a convex function on [lo, hi] to ~1e-10 relative
-// interval width and returns the best point (including the endpoints).
-func goldenSection(f func(float64) (float64, error), lo, hi float64) (float64, error) {
-	if hi <= lo {
-		return lo, nil
-	}
-	const invPhi = 0.6180339887498949
-	a, b := lo, hi
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, err := f(x1)
-	if err != nil {
-		return 0, err
-	}
-	f2, err := f(x2)
-	if err != nil {
-		return 0, err
-	}
-	for it := 0; it < 80 && b-a > 1e-10*(1+hi-lo); it++ {
-		if f1 <= f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			if f1, err = f(x1); err != nil {
-				return 0, err
-			}
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			if f2, err = f(x2); err != nil {
-				return 0, err
-			}
-		}
-	}
-	// Candidate: interval midpoint and the original endpoints.
-	best := (a + b) / 2
-	fBest, err := f(best)
-	if err != nil {
-		return 0, err
-	}
-	for _, c := range []float64{lo, hi} {
-		fc, err := f(c)
-		if err != nil {
-			return 0, err
-		}
-		if fc < fBest {
-			best, fBest = c, fc
-		}
-	}
-	return best, nil
 }

@@ -30,7 +30,7 @@ func benchRequest() *Request {
 }
 
 // BenchmarkSolveS4 measures the per-slot energy-management solve: the
-// golden-section search over the grid budget with inner LPs.
+// merit-order dispatch of the base stations' grid at one clearing price.
 func BenchmarkSolveS4(b *testing.B) {
 	req := benchRequest()
 	b.ResetTimer()

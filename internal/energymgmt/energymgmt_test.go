@@ -1,6 +1,8 @@
 package energymgmt
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -234,6 +236,112 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestRejectsNonFinite feeds every numeric request field NaN, +Inf and
+// −Inf in turn: each must be rejected as ErrRequest before it can reach a
+// battery update.
+func TestRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(req *Request, x float64)
+	}{
+		{"V", func(req *Request, x float64) { req.V = x }},
+		{"Z", func(req *Request, x float64) { req.Nodes[0].Z = units.Wh(x) }},
+		{"DemandWh", func(req *Request, x float64) { req.Nodes[0].DemandWh = units.Wh(x) }},
+		{"RenewableWh", func(req *Request, x float64) { req.Nodes[0].RenewableWh = units.Wh(x) }},
+		{"ChargeHeadroomWh", func(req *Request, x float64) { req.Nodes[0].ChargeHeadroomWh = units.Wh(x) }},
+		{"DischargeHeadroomWh", func(req *Request, x float64) { req.Nodes[0].DischargeHeadroomWh = units.Wh(x) }},
+		{"GridCapWh", func(req *Request, x float64) { req.Nodes[0].GridCapWh = units.Wh(x) }},
+	}
+	for _, f := range fields {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s=%v", f.name, x), func(t *testing.T) {
+				req := &Request{Nodes: randNodes(rng.New(1), 2), V: 10, Cost: cheapCost()}
+				if _, err := Solve(req); err != nil {
+					t.Fatalf("finite request rejected: %v", err)
+				}
+				f.set(req, x)
+				if _, err := Solve(req); !errors.Is(err, ErrRequest) {
+					t.Fatalf("got %v, want ErrRequest", err)
+				}
+			})
+		}
+	}
+}
+
+// TestDispatchOptimal checks the dispatch's optimality conditions directly,
+// with no LP involved, on every corpus: flows are non-negative, (3), (11),
+// (12) and (14) hold to 1e-12, charge and discharge are complementary
+// exactly, deficit appears only where nothing could serve the demand, and
+// each node's grid sits where its worth −z_i puts it against the clearing
+// price μ* (μ = 0 for unpriced non-base-station grid): the whole top draw
+// b + w above the price, the base draw b below it, and in between only at
+// the price itself.
+func TestDispatchOptimal(t *testing.T) {
+	const tol = 1e-12
+	src := rng.New(1601)
+	for _, gen := range corpus() {
+		for k := 0; k < 2000; k++ {
+			req := gen.draw(src, k)
+			dec, err := Solve(req)
+			if err != nil {
+				t.Fatalf("%s %d: %v", gen.name, k, err)
+			}
+			fail := func(i int, format string, args ...any) {
+				t.Helper()
+				t.Fatalf("%s %d node %d: %s\n in  %+v\n out %+v", gen.name, k, i,
+					fmt.Sprintf(format, args...), req.Nodes[i], dec.Nodes[i])
+			}
+			mu := dec.MarginalPriceWh.PerWh()
+			if want := req.V * req.Cost.Deriv(dec.GridTotalWh).PerWh(); math.Abs(mu-want) > 1e-9*math.Max(1, want) {
+				t.Fatalf("%s %d: μ* = %v, V·f′(P) = %v", gen.name, k, mu, want)
+			}
+			for i, n := range req.Nodes {
+				nd := dec.Nodes[i]
+				for _, f := range []units.Energy{nd.RenewToDemand, nd.RenewToBattery, nd.GridToDemand,
+					nd.GridToBattery, nd.DischargeWh, nd.DeficitWh} {
+					if f < 0 {
+						fail(i, "negative flow")
+					}
+				}
+				e, r, g := n.DemandWh.Wh(), n.RenewableWh.Wh(), gridCapOf(n).Wh()
+				hc, hd := n.ChargeHeadroomWh.Wh(), n.DischargeHeadroomWh.Wh()
+				switch {
+				case (nd.RenewToDemand + nd.RenewToBattery).Wh() > r+tol:
+					fail(i, "(3) renewable overdrawn")
+				case nd.ChargeWh().Wh() > hc+tol:
+					fail(i, "(11) charge above headroom")
+				case nd.DischargeWh.Wh() > hd+tol:
+					fail(i, "(12) discharge above headroom")
+				case nd.GridDrawWh().Wh() > g+tol:
+					fail(i, "(14) grid above cap")
+				case nd.ChargeWh().Wh()*nd.DischargeWh.Wh() != 0:
+					fail(i, "(9) charges and discharges")
+				case math.Abs((nd.GridToDemand+nd.RenewToDemand+nd.DischargeWh+nd.DeficitWh).Wh()-e) > tol:
+					fail(i, "demand unbalanced")
+				case math.Abs(nd.DeficitWh.Wh()-math.Max(0, e-r-math.Min(hd, e)-g)) > tol:
+					fail(i, "deficit %v where nothing more could serve %v", nd.DeficitWh, math.Max(0, e-r-math.Min(hd, e)-g))
+				}
+				sLo, sHi := e-math.Min(hd, e), e+hc
+				b := math.Min(math.Max(sLo-r, 0), g)
+				top := math.Min(math.Max(sHi-r, 0), g)
+				price := 0.0
+				if n.IsBS {
+					price = mu
+				}
+				worth, draw := -n.Z.Wh(), nd.GridDrawWh().Wh()
+				switch {
+				case worth > price && math.Abs(draw-top) > tol:
+					fail(i, "worth %v above price %v but draws %v, not b + w = %v", worth, price, draw, top)
+				case worth < price && math.Abs(draw-b) > tol:
+					fail(i, "worth %v below price %v but draws %v, not b = %v", worth, price, draw, b)
+				case draw > b+tol && draw < top-tol && math.Abs(worth-price) > tol*math.Max(1, price):
+					fail(i, "split block at worth %v, price %v", worth, price)
+				}
+			}
+		}
+	}
+}
+
 // randomRequest builds a random S4 instance.
 func randomRequest(src *rng.Source, nodes int) *Request {
 	req := &Request{
@@ -253,6 +361,26 @@ func randomRequest(src *rng.Source, nodes int) *Request {
 		})
 	}
 	return req
+}
+
+// randNodes draws a random node population with signed z; the first half
+// are base stations so the priced dispatch and the unpriced per-node
+// decisions are both exercised.
+func randNodes(src *rng.Source, n int) []NodeInput {
+	nodes := make([]NodeInput, n)
+	for i := range nodes {
+		nodes[i] = NodeInput{
+			Z:                   units.Wh(src.Uniform(-50, 50)),
+			DemandWh:            units.Wh(src.Uniform(0, 20)),
+			RenewableWh:         units.Wh(src.Uniform(0, 15)),
+			ChargeHeadroomWh:    units.Wh(src.Uniform(0, 10)),
+			DischargeHeadroomWh: units.Wh(src.Uniform(0, 10)),
+			GridConnected:       !src.Bernoulli(0.1),
+			GridCapWh:           units.Wh(src.Uniform(5, 30)),
+			IsBS:                i < n/2,
+		}
+	}
+	return nodes
 }
 
 // randomFeasible samples a random feasible decision for req.
@@ -295,19 +423,7 @@ func TestDominatesRandomFeasible(t *testing.T) {
 		}
 		checkFeasible(t, req, dec)
 
-		// Recover the penalty the solver used.
-		pMax := units.Energy(0)
-		maxAbsZ := 0.0
-		for _, n := range req.Nodes {
-			if n.IsBS && n.GridConnected {
-				pMax += n.GridCapWh
-			}
-			if a := math.Abs(n.Z.Wh()); a > maxAbsZ {
-				maxAbsZ = a
-			}
-		}
-		pen := 10*(maxAbsZ+req.V*req.Cost.MaxDeriv(pMax).PerWh()) + 1e6
-
+		pen := autoPenalty(req)
 		ours := objective(req, dec.Nodes, pen)
 		for probe := 0; probe < 300; probe++ {
 			cand := randomFeasible(src, req)

@@ -2,9 +2,8 @@
 // linear programs, with warm-started re-solves over a persistent basis.
 //
 // It exists because the paper's per-slot subproblems (the S1 sequential-
-// fix scheduling heuristic, its exact branch-and-bound counterpart, the
-// relaxed lower-bound problem P3̄, and the inner programs of the S4 energy
-// management in internal/energymgmt) all reduce to small/medium LPs that
+// fix scheduling heuristic, its exact branch-and-bound counterpart, and
+// the relaxed lower-bound problem P3̄) all reduce to small/medium LPs that
 // the original authors solved with CPLEX; this package is the
 // from-scratch, stdlib-only substitute. Solution.Iterations exposes each
 // solve's simplex work to the metrics layer (docs/METRICS.md).

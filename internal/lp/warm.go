@@ -134,8 +134,8 @@ func (w *WarmSolver) warmAttempt(e *revisedEngine) (*Solution, bool) {
 			// Only dual-feasibility-preserving edits since the last
 			// verified optimum, and the updated basic values are still in
 			// bounds: the basis is optimal as it stands. Skipping the
-			// pricing pass makes pure-RHS probe sequences (golden-section
-			// over a budget row) nearly free.
+			// pricing pass makes a pure-RHS probe sequence (a search over
+			// one row's right-hand side) nearly free.
 			e.snap()
 			st = Optimal
 		} else {

@@ -195,7 +195,9 @@ func TestFaultDeterminismAcrossSites(t *testing.T) {
 
 // TestIterationBudgetDegrades arms a tiny LP iteration budget with no
 // injection at all: organic IterationLimit outcomes must degrade slots
-// (with the iterlimit cause labels), not abort the run.
+// (with the S1 iterlimit cause label), not abort the run. The budget caps
+// S1 only: S4 is an LP-free dispatch, so s4_iterlimit comes only from
+// injection.
 func TestIterationBudgetDegrades(t *testing.T) {
 	sc := faultScenario(20)
 	sc.Budget.MaxLPIterations = 1
@@ -207,7 +209,7 @@ func TestIterationBudgetDegrades(t *testing.T) {
 		t.Fatal("1-iteration LP budget degraded no slots")
 	}
 	for cause := range res.DegradedByCause {
-		if cause != core.CauseS1IterLimit && cause != core.CauseS4IterLimit {
+		if cause != core.CauseS1IterLimit {
 			t.Errorf("unexpected cause %q under pure iteration budget", cause)
 		}
 	}

@@ -53,8 +53,9 @@ type ScenarioSpec struct {
 	FaultProb float64            `json:"fault_prob,omitempty"`
 	Faults    map[string]float64 `json:"faults,omitempty"`
 
-	// BudgetIters caps simplex iterations per LP solve (core.SolveBudget);
-	// SlotDeadlineMS is the per-slot wall-clock solve deadline.
+	// BudgetIters caps simplex iterations per S1 LP solve
+	// (core.SolveBudget; S4 solves no LP); SlotDeadlineMS is the per-slot
+	// wall-clock solve deadline.
 	BudgetIters    int   `json:"budget_iters,omitempty"`
 	SlotDeadlineMS int64 `json:"slot_deadline_ms,omitempty"`
 

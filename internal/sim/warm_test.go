@@ -25,11 +25,9 @@ func (f freshS1) Schedule(req *sched.Request) (*sched.Assignment, error) {
 }
 
 // TestWarmStartLPRun runs the fast paper scenario with the invariant
-// checker on twice: once with the controller's S1 and S4 LP state carried
-// across slots, once with S1 solving against a fresh state every slot (S4
-// still carries its bases in both runs, since the controller owns that
-// state; S4's carried-vs-fresh comparison is in energymgmt's
-// TestWarmMatchesColdAcrossSlots). Both runs must stay feasible slot by
+// checker on twice: once with the controller's S1 LP state carried across
+// slots, once with S1 solving against a fresh state every slot (S4 solves
+// no LP and carries no state). Both runs must stay feasible slot by
 // slot, the carried run must actually warm-start, and the headline
 // aggregates must stay close. Exact equality
 // is not required — an imported basis can lead the engine to a different
