@@ -16,6 +16,8 @@ import (
 
 	"greencell"
 	"greencell/internal/core"
+	"greencell/internal/machine"
+	"greencell/internal/sim"
 )
 
 // benchScenario is the paper scenario at a horizon that keeps a single
@@ -104,6 +106,36 @@ func BenchmarkWarmStartSlots(b *testing.B) {
 		b.ReportMetric(perSlot(s4Solves), "s4-lp-solves/slot")
 		b.ReportMetric(perSlot(warmed), "warm-starts/slot")
 		b.ReportMetric(perSlot(invalidated), "invalidations/slot")
+	}
+}
+
+// BenchmarkDistSlots drives the distributed controller (greedy S1) over a
+// control plane that duplicates 2% of messages and reorders within a
+// two-tick window, the shape of perfbench's dist-dup workload at a 40-slot
+// horizon. Every lossy edge draws from its own per-slot random stream, so
+// this is where stream set-up cost shows; msgs/slot counts control and
+// data messages and is fixed by the seed.
+func BenchmarkDistSlots(b *testing.B) {
+	spec := sim.ScenarioSpec{
+		Preset: "paper", Scheduler: "greedy", Slots: 40, Dist: true,
+		NetDup: 0.02, NetReorder: 2,
+	}
+	var msgs, slots int
+	for i := 0; i < b.N; i++ {
+		sc, err := spec.Scenario()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc.NetHook = func(st machine.SlotNetStats) {
+			slots++
+			msgs += st.Sent + st.DataMsgs
+		}
+		if _, err := greencell.Run(sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if slots > 0 {
+		b.ReportMetric(float64(msgs)/float64(slots), "msgs/slot")
 	}
 }
 

@@ -64,7 +64,7 @@ type Trajectory struct {
 
 func main() {
 	out := flag.String("out", "BENCH_9.json", "trajectory file to validate or update")
-	bench := flag.String("bench", "Fig2|WarmStartSlots|LintRepo", "benchmark name regex passed to go test -bench")
+	bench := flag.String("bench", "Fig2|WarmStartSlots|DistSlots|LintRepo", "benchmark name regex passed to go test -bench")
 	benchtime := flag.String("benchtime", "3x", "go test -benchtime value (forced to 1x by -check)")
 	label := flag.String("label", "", "record the measurements as a trajectory point with this label (replaces an existing point with the same label)")
 	note := flag.String("note", "", "free-form note stored alongside -label's point")

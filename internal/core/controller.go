@@ -826,8 +826,9 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 	// upstream backlog as flows are granted so a node's several out-links
 	// cannot ship the same packets twice (see DESIGN.md).
 	actual := make([][]float64, len(net.Links))
+	actualSlab := make([]float64, len(net.Links)*S)
 	for l := range net.Links {
-		actual[l] = make([]float64, S)
+		actual[l] = actualSlab[l*S : (l+1)*S : (l+1)*S]
 	}
 	remaining := make([]float64, net.NumNodes())
 	// Grant destination-bound flows first: they realize throughput.

@@ -273,8 +273,17 @@ func (c *CoordinatorMachine) buildCommands(chk *core.SlotCheck) {
 				Links:    append([]int(nil), out...),
 				FlowPkts: make([][]float64, len(out)),
 			}
+			// The rows share one slab, each capped at its length: a
+			// duplicated delivery hands the same rows to the node twice.
+			n := 0
+			for _, l := range out {
+				n += len(chk.Flow[l])
+			}
+			slab := make([]float64, 0, n)
 			for k, l := range out {
-				fu.FlowPkts[k] = append([]float64(nil), chk.Flow[l]...)
+				start := len(slab)
+				slab = append(slab, chk.Flow[l]...)
+				fu.FlowPkts[k] = slab[start:len(slab):len(slab)]
 			}
 			c.outbox = append(c.outbox, fu)
 		}

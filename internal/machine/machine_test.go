@@ -76,9 +76,21 @@ func runBurst(t *testing.T, model DeliveryModel, seed int64, bursts [2]int) []st
 // TestDeliverySchedulePure checks the core determinism contract: for a
 // fixed (seed, model), the delivery schedule — who arrives, in what
 // order — is identical across runs, and a different seed perturbs it.
+// The seed-42 schedule is pinned literally, so a change to the values
+// internal/rng draws or to the order send draws them in fails here.
 func TestDeliverySchedulePure(t *testing.T) {
 	model := DeliveryModel{LossProb: 0.3, DelayProb: 0.3, MaxDelayTicks: 3, DupProb: 0.2, ReorderWindow: 2}
 	a := runBurst(t, model, 42, [2]int{20, 20})
+	want := []string{
+		"1:2", "1:4", "1:6", "1:8", "1:11", "1:12", "1:13", "1:17", "1:19",
+		"2:1", "2:2", "2:5", "2:6", "2:7", "2:8", "2:9", "2:12", "2:16", "2:18",
+		"1:2", "1:7", "1:12", "1:13", "2:5", "2:6", "2:8", "2:13", "2:18",
+		"1:18", "2:3", "2:11", "2:13", "2:14", "2:19",
+		"1:1", "1:15", "2:17", "1:15",
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Errorf("seed-42 schedule drifted:\n got: %v\nwant: %v", a, want)
+	}
 	b := runBurst(t, model, 42, [2]int{20, 20})
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed, different schedule:\n a: %v\n b: %v", a, b)

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"greencell/internal/faultinject"
 	"greencell/internal/rng"
@@ -98,6 +99,7 @@ type Network struct {
 	seq     int
 	pending map[int][]envelope
 	streams map[edgeKey]*rng.Source
+	name    []byte // edgeStream's name buffer
 	stats   NetSlotCounters
 
 	// Per-slot injector overlay (slot-wide outages; faultinject.NetDrop
@@ -306,7 +308,15 @@ func (n *Network) edgeStream(from, to NodeID) *rng.Source {
 	key := edgeKey{from: from, to: to}
 	s, ok := n.streams[key]
 	if !ok {
-		s = n.root.Split(fmt.Sprintf("e%d>%d#%d", from, to, n.slot))
+		// The bytes of fmt.Sprintf("e%d>%d#%d", from, to, n.slot).
+		b := append(n.name[:0], 'e')
+		b = strconv.AppendInt(b, int64(from), 10)
+		b = append(b, '>')
+		b = strconv.AppendInt(b, int64(to), 10)
+		b = append(b, '#')
+		b = strconv.AppendInt(b, int64(n.slot), 10)
+		n.name = b
+		s = n.root.Split(string(b))
 		n.streams[key] = s
 	}
 	return s

@@ -217,13 +217,14 @@ func (m *NodeMachine) execute() []Message {
 	}
 	S := len(m.sessions)
 	actual := make([][]float64, len(out))
+	actualSlab := make([]float64, len(out)*S)
 	for k, l := range out {
 		if m.flows.Links[k] != l {
 			m.fail(fmt.Errorf("machine: node %d slot %d: FlowUpdate link %d at position %d, want %d",
 				m.id, m.slot, m.flows.Links[k], k, l))
 			return nil
 		}
-		actual[k] = make([]float64, S)
+		actual[k] = actualSlab[k*S : (k+1)*S : (k+1)*S]
 	}
 	for s := 0; s < S; s++ {
 		remaining := m.queues[s].Backlog()

@@ -15,15 +15,20 @@ import (
 // Source is a deterministic random source with convenience helpers.
 // The zero value is not usable; construct with New or Split.
 type Source struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src lazySource // r's source, held inline to save an allocation
 
 	// cachedSeed backs baseSeed; zero means "not yet drawn".
 	cachedSeed uint64
 }
 
-// New returns a Source seeded with seed.
+// New returns a Source seeded with seed. Its draws are exactly those of
+// rand.New(rand.NewSource(seed)); only the seeding cost is deferred.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed))}
+	s := &Source{}
+	s.src.Seed(seed)
+	s.r = rand.New(&s.src)
+	return s
 }
 
 // Split derives an independent sub-stream identified by name. Two Sources
@@ -46,10 +51,15 @@ func (s *Source) Split(name string) *Source {
 	return New(int64(h))
 }
 
-// baseSeed returns a stable per-Source value without consuming stream state.
+// baseSeed returns the per-Source value Split folds into every child. The
+// first call consumes the Source's next draw and caches it; later calls
+// return the cache. It follows that a Source's children depend on how many
+// values it had drawn before its first Split, and that its own draws after
+// that Split are shifted by one. Sibling Splits are order independent, but
+// code that both draws from and splits one Source must keep the first Split
+// at a fixed point of its draw sequence (splitting before any draw is the
+// simplest such point).
 func (s *Source) baseSeed() uint64 {
-	// Peek by cloning: rand.Rand cannot be cloned cheaply, so instead we
-	// keep a dedicated first draw cached per Source.
 	if s.cachedSeed == 0 {
 		s.cachedSeed = s.r.Uint64() | 1 // never zero
 	}

@@ -113,9 +113,13 @@ func Decide(req *Request) (*Decision, error) {
 		return nil, fmt.Errorf("%w: per-session slice length mismatch", ErrRequest)
 	}
 
+	// One slab holds every link's row; the full slice expression keeps an
+	// append to one row from spilling into the next.
+	S := req.NumSessions
 	d := &Decision{Flow: make([][]float64, len(req.Net.Links))}
+	flowSlab := make([]float64, len(d.Flow)*S)
 	for l := range d.Flow {
-		d.Flow[l] = make([]float64, req.NumSessions)
+		d.Flow[l] = flowSlab[l*S : (l+1)*S : (l+1)*S]
 	}
 	remaining := make([]float64, len(req.Net.Links))
 	copy(remaining, req.CapacityPkts)
