@@ -9,7 +9,9 @@
 # firing at an elevated rate, per-slot invariants on, under the race
 # detector — the serve and cluster smokes (docs/SERVER.md,
 # docs/CLUSTER.md), bench-json, the benchmark trajectory gate
-# (docs/PERFORMANCE.md), and validate, the reproduction certificate.
+# (docs/PERFORMANCE.md), validate, the reproduction certificate, and
+# figures-check, which holds the committed out/ figures and report to
+# what the code writes.
 
 GO ?= go
 FUZZTIME ?= 15s
@@ -18,11 +20,11 @@ FUZZTIME ?= 15s
 # driver's -analyzers selection path; must match analysis.All().
 ANALYZERS = norawrand,nofloateq,droppederr,unguardedgo,unitmix,mapiter,wallclock,detflow,locksafe,hotalloc,resleak,ctxflow,errcmp
 
-.PHONY: check ci build vet perfbench-check lint lint-audit lint-sarif test race fuzz soak bench bench-json fmt fmtcheck units-check dist-check serve-smoke cluster-smoke validate figures clean
+.PHONY: check ci build vet perfbench-check lint lint-audit lint-sarif test race fuzz soak bench bench-json fmt fmtcheck units-check dist-check serve-smoke cluster-smoke validate figures figures-check clean
 
 check: build vet lint race perfbench-check
 
-ci: fmtcheck check lint-audit lint-sarif units-check dist-check fuzz soak serve-smoke cluster-smoke bench-json validate
+ci: fmtcheck check lint-audit lint-sarif units-check dist-check fuzz soak serve-smoke cluster-smoke bench-json validate figures-check
 
 build:
 	$(GO) build ./...
@@ -119,8 +121,21 @@ cluster-smoke:
 validate:
 	$(GO) run ./cmd/validate
 
+# Regenerates the committed reproduction artifacts: every Fig. 2 panel
+# (TSV + SVG) and the HTML report, all at paper scale.
 figures:
 	$(GO) run ./cmd/figures -out out
+	$(GO) run ./cmd/report -out out/report.html
+
+# Fails if the committed artifacts differ from what `make figures` would
+# write: regenerates them into a temp dir and diffs each file against out/.
+figures-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/figures -out "$$tmp" > /dev/null && \
+	$(GO) run ./cmd/report -out "$$tmp/report.html" > /dev/null && \
+	for f in "$$tmp"/*; do cmp -s "$$f" "out/$${f##*/}" || \
+		{ echo "figures-check: out/$${f##*/} is stale; run make figures"; exit 1; }; done; \
+	echo "figures-check: out/ matches"
 
 clean:
 	rm -rf out

@@ -1,22 +1,25 @@
 // Command figures regenerates every panel of the paper's Figure 2 at paper
-// scale and writes the series as TSV files (one per panel) plus a summary
-// to stdout.
+// scale and writes each panel's series as a TSV file, plus an SVG chart of
+// it unless -svg=false.
 //
 // Usage:
 //
-//	figures [-out DIR] [-slots N] [-seed N] [-quick]
+//	figures [-out DIR] [-slots N] [-seed N] [-quick] [-replications N] [-svg=false]
 //
 // Outputs:
 //
-//	fig2a.tsv  V, upper bound, lower bound        (bound sandwich vs V)
-//	fig2b.tsv  t, backlog per V                   (BS data queues)
-//	fig2c.tsv  t, backlog per V                   (user data queues)
-//	fig2d.tsv  t, buffer per V                    (BS batteries, Wh)
-//	fig2e.tsv  t, buffer per V                    (user batteries, Wh)
-//	fig2f.tsv  architecture, V, time-avg cost     (4-way comparison)
+//	fig2a       V, upper bound, lower bound        (bound sandwich vs V)
+//	fig2b       t, backlog per V                   (BS data queues)
+//	fig2c       t, backlog per V                   (user data queues)
+//	fig2d       t, buffer per V                    (BS batteries, Wh)
+//	fig2e       t, buffer per V                    (user batteries, Wh)
+//	fig2f       architecture, V, time-avg cost     (4-way comparison)
+//	figx-delay  V, mean and p95 delay              (extension: O(V) side)
 //
-// Each panel is also rendered as an SVG chart (fig2a.svg, ...) unless
-// -svg=false.
+// The panels come from one greencell.Reproduce run over PaperGrid
+// (QuickGrid with -quick). With -replications N > 1, fig2a.tsv instead
+// holds the sandwich averaged over N seeds with 95% confidence intervals,
+// and fig2a.svg is not written.
 package main
 
 import (
@@ -28,7 +31,6 @@ import (
 
 	"greencell"
 	"greencell/internal/export"
-	"greencell/internal/plot"
 	"greencell/internal/sim"
 )
 
@@ -59,79 +61,39 @@ func run(args []string) error {
 	sc := greencell.PaperScenario()
 	sc.Slots = *slots
 	sc.Seed = *seed
-
-	vsBounds := []float64{1e5, 2e5, 3e5, 4e5, 5e5, 6e5, 7e5, 8e5, 9e5, 1e6}
-	vsTraces := []float64{1e5, 2e5, 3e5, 4e5, 5e5}
-	vsArch := []float64{1e5, 3e5, 5e5}
+	grid := greencell.PaperGrid
 	if *quick {
-		vsBounds = []float64{1e5, 5e5, 1e6}
-		vsTraces = []float64{1e5, 5e5}
-		vsArch = []float64{1e5}
+		grid = greencell.QuickGrid
 	}
-
-	if *reps > 1 {
-		if err := fig2aReplicated(sc, vsBounds, *outDir, *reps); err != nil {
-			return fmt.Errorf("fig2a: %w", err)
+	rep, err := greencell.Reproduce(sc, grid)
+	if err != nil {
+		return err
+	}
+	for _, p := range rep.Panels() {
+		if p.Name == "fig2a" && *reps > 1 {
+			if err := fig2aReplicated(sc, grid.Bounds, *outDir, *reps); err != nil {
+				return fmt.Errorf("fig2a: %w", err)
+			}
+			continue
 		}
-	} else if err := fig2a(sc, vsBounds, *outDir, *svg); err != nil {
-		return fmt.Errorf("fig2a: %w", err)
-	}
-	if err := fig2bcde(sc, vsTraces, *outDir, *svg); err != nil {
-		return fmt.Errorf("fig2b-e: %w", err)
-	}
-	if err := fig2f(sc, vsArch, *outDir, *svg); err != nil {
-		return fmt.Errorf("fig2f: %w", err)
-	}
-	if err := figTradeoff(sc, vsTraces, *outDir, *svg); err != nil {
-		return fmt.Errorf("figx: %w", err)
+		if err := writeTSV(*outDir, p.Name+".tsv", p.Header, p.Rows); err != nil {
+			return err
+		}
+		if *svg {
+			if err := writeSVG(filepath.Join(*outDir, p.Name+".svg"), &p); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// figTradeoff is an extension panel with no paper counterpart: the exact
-// (FIFO-tracked) mean packet delay versus V, the delay side of the
-// Lyapunov [O(1/V), O(V)] tradeoff.
-func figTradeoff(sc greencell.Scenario, vs []float64, dir string, svg bool) error {
-	rows := make([][]float64, 0, len(vs))
-	sr := plot.Series{Name: "mean delay"}
-	for _, v := range vs {
-		s := sc
-		s.V = v
-		s.KeepTraces = false
-		s.TrackDelay = true
-		res, err := greencell.Run(s)
-		if err != nil {
-			return fmt.Errorf("V=%g: %w", v, err)
-		}
-		rows = append(rows, []float64{v, res.ExactDelayMeanSlots, res.ExactDelayP95Slots})
-		sr.X = append(sr.X, v)
-		sr.Y = append(sr.Y, res.ExactDelayMeanSlots)
-		fmt.Printf("figx   V=%.0e  delay mean=%.1f p95=%.0f slots\n",
-			v, res.ExactDelayMeanSlots, res.ExactDelayP95Slots)
-	}
-	if err := writeTSV(dir, "figx-delay.tsv", []string{"V", "delay_mean", "delay_p95"}, rows); err != nil {
-		return err
-	}
-	if !svg {
-		return nil
-	}
-	c := &plot.Chart{
-		Title:  "Extension: exact packet delay vs V (O(V) tradeoff side)",
-		XLabel: "V",
-		YLabel: "delivery delay (slots)",
-		Series: []plot.Series{sr},
-	}
-	return writeSVG(dir, "figx-delay.svg", func(f *os.File) error { return c.LineSVG(f) })
-}
-
-// writeSVG renders a chart to dir/name via render (LineSVG or a closure).
-func writeSVG(dir, name string, render func(w *os.File) error) error {
-	path := filepath.Join(dir, name)
+func writeSVG(path string, p *greencell.Panel) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := render(f); err != nil {
+	if err := p.SVG(f); err != nil {
 		return errors.Join(err, f.Close())
 	}
 	if err := f.Close(); err != nil {
@@ -148,39 +110,6 @@ func writeTSV(dir, name string, header []string, rows [][]float64) error {
 	}
 	fmt.Printf("wrote %s (%d rows)\n", path, len(rows))
 	return nil
-}
-
-// fig2a: upper and lower bounds on the optimal cost vs V.
-func fig2a(sc greencell.Scenario, vs []float64, dir string, svg bool) error {
-	bounds, err := greencell.SweepV(sc, vs)
-	if err != nil {
-		return err
-	}
-	rows := make([][]float64, 0, len(bounds))
-	upper := plot.Series{Name: "upper bound"}
-	lower := plot.Series{Name: "lower bound"}
-	for _, b := range bounds {
-		rows = append(rows, []float64{b.V, b.Upper, b.Lower})
-		upper.X = append(upper.X, b.V)
-		upper.Y = append(upper.Y, b.Upper)
-		lower.X = append(lower.X, b.V)
-		lower.Y = append(lower.Y, b.Lower)
-		fmt.Printf("fig2a  V=%.0e  lower=%.6g  upper=%.6g  gap=%.3g\n",
-			b.V, b.Lower, b.Upper, b.Upper-b.Lower)
-	}
-	if err := writeTSV(dir, "fig2a.tsv", []string{"V", "upper", "lower"}, rows); err != nil {
-		return err
-	}
-	if !svg {
-		return nil
-	}
-	c := &plot.Chart{
-		Title:  "Fig 2(a): Theorem 4/5 bounds on the optimal energy cost",
-		XLabel: "V",
-		YLabel: "time-averaged penalty objective",
-		Series: []plot.Series{upper, lower},
-	}
-	return writeSVG(dir, "fig2a.svg", func(f *os.File) error { return c.LineSVG(f) })
 }
 
 // fig2aReplicated: the bound sandwich averaged over independent seeds,
@@ -201,122 +130,4 @@ func fig2aReplicated(sc greencell.Scenario, vs []float64, dir string, reps int) 
 	}
 	return writeTSV(dir, "fig2a.tsv",
 		[]string{"V", "upper_mean", "upper_ci_lo", "upper_ci_hi", "lower_mean", "lower_ci_lo", "lower_ci_hi"}, rows)
-}
-
-// fig2bcde: the four time-series panels, one run per V.
-func fig2bcde(sc greencell.Scenario, vs []float64, dir string, svg bool) error {
-	type traces struct {
-		qbs, qu, bbs, bu []float64
-	}
-	perV := make([]traces, len(vs))
-	for i, v := range vs {
-		s := sc
-		s.V = v
-		s.KeepTraces = true
-		res, err := greencell.Run(s)
-		if err != nil {
-			return fmt.Errorf("V=%g: %w", v, err)
-		}
-		perV[i] = traces{
-			qbs: res.DataBacklogBSTrace,
-			qu:  res.DataBacklogUsersTrace,
-			bbs: res.BatteryWhBSTrace,
-			bu:  res.BatteryWhUsersTrace,
-		}
-		fmt.Printf("fig2b-e V=%.0e  final: Qbs=%.0f Qu=%.0f  Bbs=%.1fWh Bu=%.1fWh\n",
-			v, res.FinalDataBacklogBS, res.FinalDataBacklogUsers,
-			res.FinalBatteryWhBS, res.FinalBatteryWhUsers)
-	}
-
-	header := []string{"t"}
-	for _, v := range vs {
-		header = append(header, fmt.Sprintf("V=%.0e", v))
-	}
-	emit := func(name, title, ylabel string, pick func(traces) []float64) error {
-		rows := make([][]float64, sc.Slots)
-		for t := 0; t < sc.Slots; t++ {
-			row := []float64{float64(t + 1)}
-			for i := range vs {
-				row = append(row, pick(perV[i])[t])
-			}
-			rows[t] = row
-		}
-		if err := writeTSV(dir, name+".tsv", header, rows); err != nil {
-			return err
-		}
-		if !svg {
-			return nil
-		}
-		c := &plot.Chart{Title: title, XLabel: "time (minutes)", YLabel: ylabel}
-		xs := make([]float64, sc.Slots)
-		for t := range xs {
-			xs[t] = float64(t + 1)
-		}
-		for i, v := range vs {
-			c.Series = append(c.Series, plot.Series{
-				Name: fmt.Sprintf("V=%.0e", v),
-				X:    xs,
-				Y:    pick(perV[i]),
-			})
-		}
-		return writeSVG(dir, name+".svg", func(f *os.File) error { return c.LineSVG(f) })
-	}
-	if err := emit("fig2b", "Fig 2(b): total BS data queue backlog", "packets",
-		func(tr traces) []float64 { return tr.qbs }); err != nil {
-		return err
-	}
-	if err := emit("fig2c", "Fig 2(c): total user data queue backlog", "packets",
-		func(tr traces) []float64 { return tr.qu }); err != nil {
-		return err
-	}
-	if err := emit("fig2d", "Fig 2(d): total BS energy buffer", "Wh",
-		func(tr traces) []float64 { return tr.bbs }); err != nil {
-		return err
-	}
-	return emit("fig2e", "Fig 2(e): total user energy buffer", "Wh",
-		func(tr traces) []float64 { return tr.bu })
-}
-
-// fig2f: the four-architecture cost comparison.
-func fig2f(sc greencell.Scenario, vs []float64, dir string, svg bool) error {
-	costs, err := greencell.CompareArchitectures(sc, vs)
-	if err != nil {
-		return err
-	}
-	rows := make([][]float64, 0, len(costs))
-	byArch := map[greencell.Architecture]map[float64]float64{}
-	for _, c := range costs {
-		rows = append(rows, []float64{float64(c.Architecture), c.V, c.AvgCost.Value()})
-		if byArch[c.Architecture] == nil {
-			byArch[c.Architecture] = map[float64]float64{}
-		}
-		byArch[c.Architecture][c.V] = c.AvgCost.Value()
-		fmt.Printf("fig2f  %-28v V=%.0e  avg cost=%.6g\n", c.Architecture, c.V, c.AvgCost)
-	}
-	if err := writeTSV(dir, "fig2f.tsv", []string{"architecture", "V", "avg_cost"}, rows); err != nil {
-		return err
-	}
-	if !svg {
-		return nil
-	}
-	chart := &plot.Chart{
-		Title:  "Fig 2(f): time-averaged energy cost by architecture",
-		YLabel: "time-averaged f(P)",
-	}
-	order := []greencell.Architecture{
-		greencell.Proposed, greencell.OneHopRenewable,
-		greencell.MultiHopNoRenewable, greencell.OneHopNoRenewable,
-	}
-	labels := make([]string, len(vs))
-	for i, v := range vs {
-		labels[i] = fmt.Sprintf("V=%.0e", v)
-	}
-	for _, a := range order {
-		sr := plot.Series{Name: a.String()}
-		for _, v := range vs {
-			sr.Y = append(sr.Y, byArch[a][v])
-		}
-		chart.Series = append(chart.Series, sr)
-	}
-	return writeSVG(dir, "fig2f.svg", func(f *os.File) error { return chart.BarSVG(f, labels) })
 }

@@ -23,7 +23,6 @@ import (
 	"greencell/internal/export"
 	"greencell/internal/faultinject"
 	"greencell/internal/metrics"
-	"greencell/internal/queueing"
 	"greencell/internal/sched"
 	"greencell/internal/sim"
 	"greencell/internal/trace"
@@ -322,10 +321,8 @@ func run(args []string) (err error) {
 			n.TrueDeliveredPkts, n.TrueDeficitWh.Wh(), res.DeliveredPkts, res.DeficitWh)
 	}
 	if res.DataBacklogBSTrace != nil {
-		tail := len(res.DataBacklogBSTrace) / 2
-		fmt.Printf("backlog tail slope:  BS %.3f pkts/slot, users %.3f pkts/slot\n",
-			queueing.Slope(res.DataBacklogBSTrace[tail:]),
-			queueing.Slope(res.DataBacklogUsersTrace[tail:]))
+		bs, users := res.TailSlopes()
+		fmt.Printf("backlog tail slope:  BS %.3f pkts/slot, users %.3f pkts/slot\n", bs, users)
 	}
 
 	if *bounds {

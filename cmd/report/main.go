@@ -1,6 +1,8 @@
 // Command report produces a single self-contained HTML reproduction
-// report: headline metrics, the certificate checks, and every Figure 2
-// panel rendered inline as SVG with its data table alongside.
+// report: the certificate checks, then every Figure 2 panel rendered
+// inline as SVG with its data table alongside (time-series tables are
+// omitted). It renders one greencell.Reproduce run over PaperGrid
+// (QuickGrid with -quick); the same flags give the same bytes.
 //
 // Usage:
 //
@@ -14,10 +16,8 @@ import (
 	"html/template"
 	"os"
 	"strings"
-	"time"
 
 	"greencell"
-	"greencell/internal/plot"
 )
 
 func main() {
@@ -27,26 +27,21 @@ func main() {
 	}
 }
 
-type check struct {
-	Name string
-	OK   bool
-	Info string
-}
+// maxTableRows is the longest table shown; longer panels are time series.
+const maxTableRows = 20
 
 type figure struct {
-	Title string
-	SVG   template.HTML
-	Note  string
+	SVG     template.HTML
+	Caption string
+	Header  []string
+	Rows    [][]string
 }
 
 type reportData struct {
-	Generated  string
-	Slots      int
-	Seed       int64
-	Checks     []check
-	Figures    []figure
-	CostRows   [][]string
-	BoundsRows [][]string
+	Slots   int
+	Seed    int64
+	Checks  []greencell.Check
+	Figures []figure
 }
 
 func run(args []string) error {
@@ -64,137 +59,34 @@ func run(args []string) error {
 	sc := greencell.PaperScenario()
 	sc.Slots = *slots
 	sc.Seed = *seed
-
-	data := reportData{
-		//lint:allow wallclock -- report banner timestamp; the HTML report is not a reproducible artifact
-		Generated: time.Now().Format(time.RFC1123),
-		Slots:     *slots,
-		Seed:      *seed,
-	}
-
-	// Instrumented base run.
-	base := sc
-	base.AuditDrift = true
-	base.TrackDelay = true
-	res, err := greencell.Run(base)
-	if err != nil {
-		return err
-	}
-	data.Checks = append(data.Checks,
-		check{"lemma1-drift", res.AuditViolations == 0,
-			fmt.Sprintf("%d violating slots of %d", res.AuditViolations, *slots)},
-		check{"no-deficit", res.DeficitWh < 1e-6,
-			fmt.Sprintf("unserved energy %.3g Wh", res.DeficitWh)},
-		check{"strong-stability", res.StableDataBacklog(100),
-			fmt.Sprintf("final backlogs BS %.0f / users %.0f pkts",
-				res.FinalDataBacklogBS, res.FinalDataBacklogUsers)},
-	)
-
-	// Fig 2(a).
-	vs := []float64{1e5, 2e5, 4e5, 6e5, 8e5, 1e6}
+	grid := greencell.PaperGrid
 	if *quick {
-		vs = []float64{1e5, 5e5, 1e6}
+		grid = greencell.QuickGrid
 	}
-	bounds, err := greencell.SweepV(sc, vs)
+	rep, err := greencell.Reproduce(sc, grid)
 	if err != nil {
 		return err
-	}
-	upper := plot.Series{Name: "upper bound"}
-	lower := plot.Series{Name: "lower bound"}
-	for _, b := range bounds {
-		upper.X = append(upper.X, b.V)
-		upper.Y = append(upper.Y, b.Upper)
-		lower.X = append(lower.X, b.V)
-		lower.Y = append(lower.Y, b.Lower)
-		data.BoundsRows = append(data.BoundsRows, []string{
-			fmt.Sprintf("%.0e", b.V),
-			fmt.Sprintf("%.5g", b.Lower),
-			fmt.Sprintf("%.5g", b.Upper),
-			fmt.Sprintf("%.3g", b.Upper-b.Lower),
-		})
-	}
-	gapFirst := bounds[0].Upper - bounds[0].Lower
-	gapLast := bounds[len(bounds)-1].Upper - bounds[len(bounds)-1].Lower
-	data.Checks = append(data.Checks, check{"bound-tighten", gapLast < gapFirst,
-		fmt.Sprintf("gap %.3g → %.3g", gapFirst, gapLast)})
-	figA := &plot.Chart{
-		Title:  "Fig 2(a): Theorem 4/5 bounds vs V",
-		XLabel: "V", YLabel: "time-averaged penalty objective",
-		Series: []plot.Series{upper, lower},
-	}
-	svgA, err := renderLine(figA)
-	if err != nil {
-		return err
-	}
-	data.Figures = append(data.Figures, figure{
-		Title: "Bound sandwich (Fig 2a)", SVG: svgA,
-		Note: "The lower bound ψ*_P3̄ − B/V climbs into the upper bound ψ_P3 as V grows (Lemma 2).",
-	})
-
-	// Fig 2(b)-(e) from the base run's traces.
-	xs := make([]float64, *slots)
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	panels := []struct {
-		title, ylabel, note string
-		y                   []float64
-	}{
-		{"Fig 2(b): BS data backlog", "packets", "Bounded growth: strong stability.", res.DataBacklogBSTrace},
-		{"Fig 2(c): user data backlog", "packets", "Relay queues settle under backpressure.", res.DataBacklogUsersTrace},
-		{"Fig 2(d): BS energy buffers", "Wh", "Batteries charge toward capacity.", res.BatteryWhBSTrace},
-		{"Fig 2(e): user energy buffers", "Wh", "Grid-connected slots charge at the cap.", res.BatteryWhUsersTrace},
-	}
-	for _, p := range panels {
-		c := &plot.Chart{
-			Title: p.title, XLabel: "time (minutes)", YLabel: p.ylabel,
-			Series: []plot.Series{{Name: fmt.Sprintf("V=%.0e", sc.V), X: xs, Y: p.y}},
-		}
-		svg, err := renderLine(c)
-		if err != nil {
-			return err
-		}
-		data.Figures = append(data.Figures, figure{Title: p.title, SVG: svg, Note: p.note})
 	}
 
-	// Fig 2(f).
-	archVs := []float64{1e5}
-	costs, err := greencell.CompareArchitectures(sc, archVs)
-	if err != nil {
-		return err
+	data := reportData{Slots: *slots, Seed: *seed, Checks: rep.Checks}
+	for _, p := range rep.Panels() {
+		var svg strings.Builder
+		if err := p.SVG(&svg); err != nil {
+			return fmt.Errorf("%s: %w", p.Name, err)
+		}
+		fig := figure{SVG: template.HTML(svg.String()), Caption: p.Caption}
+		if len(p.Rows) <= maxTableRows {
+			fig.Header = p.Header
+			for _, row := range p.Rows {
+				cells := make([]string, len(row))
+				for i, v := range row {
+					cells[i] = fmt.Sprintf("%.5g", v)
+				}
+				fig.Rows = append(fig.Rows, cells)
+			}
+		}
+		data.Figures = append(data.Figures, fig)
 	}
-	byArch := map[greencell.Architecture]float64{}
-	for _, c := range costs {
-		byArch[c.Architecture] = c.AvgCost.Value()
-	}
-	order := []greencell.Architecture{
-		greencell.Proposed, greencell.OneHopRenewable,
-		greencell.MultiHopNoRenewable, greencell.OneHopNoRenewable,
-	}
-	chartF := &plot.Chart{
-		Title:  "Fig 2(f): cost by architecture (V=1e5)",
-		YLabel: "time-averaged f(P)",
-	}
-	for _, a := range order {
-		chartF.Series = append(chartF.Series, plot.Series{Name: a.String(), Y: []float64{byArch[a]}})
-		data.CostRows = append(data.CostRows, []string{
-			a.String(),
-			fmt.Sprintf("%.5g", byArch[a]),
-			fmt.Sprintf("%.2fx", byArch[a]/byArch[greencell.Proposed]),
-		})
-	}
-	var fb strings.Builder
-	if err := chartF.BarSVG(&fb, []string{"V=1e5"}); err != nil {
-		return err
-	}
-	data.Figures = append(data.Figures, figure{
-		Title: "Architecture comparison (Fig 2f)", SVG: template.HTML(fb.String()),
-		Note: "Proposed < one-hop w/ renewable < multi-hop w/o renewable < one-hop w/o renewable.",
-	})
-	data.Checks = append(data.Checks, check{"architectures",
-		byArch[greencell.Proposed] < byArch[greencell.OneHopNoRenewable],
-		fmt.Sprintf("proposed %.4g vs grid-only one-hop %.4g",
-			byArch[greencell.Proposed], byArch[greencell.OneHopNoRenewable])})
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -208,14 +100,6 @@ func run(args []string) error {
 	}
 	fmt.Println("wrote", *out)
 	return nil
-}
-
-func renderLine(c *plot.Chart) (template.HTML, error) {
-	var b strings.Builder
-	if err := c.LineSVG(&b); err != nil {
-		return "", err
-	}
-	return template.HTML(b.String()), nil
 }
 
 var page = template.Must(template.New("report").Parse(`<!DOCTYPE html>
@@ -234,7 +118,7 @@ var page = template.Must(template.New("report").Parse(`<!DOCTYPE html>
 </style></head><body>
 <h1>greencell — reproduction report</h1>
 <p class="note">Optimal Energy Cost for Strongly Stable Multi-hop Green Cellular
-Networks (ICDCS 2014) · generated {{.Generated}} · {{.Slots}} slots · seed {{.Seed}}</p>
+Networks (ICDCS 2014) · {{.Slots}} slots · seed {{.Seed}}</p>
 
 <h2>Certificate checks</h2>
 <table><tr><th>check</th><th>status</th><th>detail</th></tr>
@@ -243,18 +127,12 @@ Networks (ICDCS 2014) · generated {{.Generated}} · {{.Slots}} slots · seed {{
 <td>{{.Info}}</td></tr>{{end}}
 </table>
 
-<h2>Theorem 4/5 bounds</h2>
-<table><tr><th>V</th><th>lower</th><th>upper</th><th>gap</th></tr>
-{{range .BoundsRows}}<tr>{{range .}}<td>{{.}}</td>{{end}}</tr>{{end}}
-</table>
-
-<h2>Architectures (V=1e5)</h2>
-<table><tr><th>architecture</th><th>avg cost</th><th>vs proposed</th></tr>
-{{range .CostRows}}<tr>{{range .}}<td>{{.}}</td>{{end}}</tr>{{end}}
-</table>
-
+<h2>Figure 2</h2>
 {{range .Figures}}
-<figure>{{.SVG}}<figcaption class="note">{{.Note}}</figcaption></figure>
+<figure>{{.SVG}}<figcaption class="note">{{.Caption}}</figcaption></figure>
+{{if .Rows}}<table><tr>{{range .Header}}<th>{{.}}</th>{{end}}</tr>
+{{range .Rows}}<tr>{{range .}}<td>{{.}}</td>{{end}}</tr>{{end}}
+</table>{{end}}
 {{end}}
 </body></html>
 `))

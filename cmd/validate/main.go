@@ -1,20 +1,11 @@
-// Command validate runs the repository's reproduction certificate: a suite
-// of end-to-end checks asserting that the implemented system exhibits every
-// property the paper proves or reports. It prints one PASS/FAIL line per
-// check and exits non-zero if any fails.
-//
-// Checks:
-//
-//  1. lemma1-drift     — the realized Lyapunov drift satisfies the Lemma 1
-//     inequality at every slot, with SquareTerms ≤ B.
-//  2. strong-stability — data backlog trajectories flatten (Theorem 3).
-//  3. no-deficit       — energy demand is always served (constraints
-//     (9)–(14) feasible under the gate).
-//  4. conservation     — every admitted packet is delivered or queued.
-//  5. bound-sandwich   — lower bound ≤ upper bound at every tested V
-//     (Theorems 4–5).
-//  6. bound-tighten    — the bound gap shrinks as V grows (Lemma 2).
-//  7. architectures    — Fig. 2(f)'s cost ordering holds.
+// Command validate runs the repository's reproduction certificate: the
+// seven end-to-end checks of greencell.Reproduce over QuickGrid (9 runs),
+// asserting that the implemented system exhibits every property the paper
+// proves or reports — the Lemma 1 drift inequality, strong stability
+// (Theorem 3), no energy deficit, packet conservation, the Theorem 4/5
+// bound sandwich and its tightening in V, and Fig. 2(f)'s architecture
+// ordering. It prints one PASS/FAIL line per check and exits non-zero if
+// any fails.
 //
 // Usage:
 //
@@ -27,7 +18,6 @@ import (
 	"os"
 
 	"greencell"
-	"greencell/internal/queueing"
 )
 
 func main() {
@@ -35,12 +25,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "validate:", err)
 		os.Exit(1)
 	}
-}
-
-type check struct {
-	name string
-	ok   bool
-	info string
 }
 
 func run(args []string) error {
@@ -53,110 +37,25 @@ func run(args []string) error {
 		return err
 	}
 
-	var checks []check
-
-	// Base run with all instrumentation on.
 	sc := greencell.PaperScenario()
 	sc.Slots = *slots
 	sc.Seed = *seed
-	sc.AuditDrift = true
-	sc.TrackDelay = true
-	res, err := greencell.Run(sc)
+	rep, err := greencell.Reproduce(sc, greencell.QuickGrid)
 	if err != nil {
 		return err
 	}
-
-	checks = append(checks, check{
-		name: "lemma1-drift",
-		ok:   res.AuditViolations == 0,
-		info: fmt.Sprintf("%d violating slots of %d", res.AuditViolations, sc.Slots),
-	})
-
-	half := len(res.DataBacklogBSTrace) / 2
-	slopeBS := queueing.Slope(res.DataBacklogBSTrace[half:])
-	slopeU := queueing.Slope(res.DataBacklogUsersTrace[half:])
-	demand := 100.0 // 4 sessions x 25 pkts/slot
-	checks = append(checks, check{
-		name: "strong-stability",
-		ok:   slopeBS < demand/2 && slopeU < demand/2,
-		info: fmt.Sprintf("tail slopes BS %.2f, users %.2f pkts/slot (demand %.0f)", slopeBS, slopeU, demand),
-	})
-
-	checks = append(checks, check{
-		name: "no-deficit",
-		ok:   res.DeficitWh < 1e-6,
-		info: fmt.Sprintf("total unserved energy %.3g Wh", res.DeficitWh),
-	})
-
-	queued := res.FinalDataBacklogBS + res.FinalDataBacklogUsers
-	balance := res.AdmittedPkts - res.DeliveredPkts - queued
-	checks = append(checks, check{
-		name: "conservation",
-		ok:   balance < 1e-3 && balance > -1e-3,
-		info: fmt.Sprintf("admitted−delivered−queued = %.3g pkts", balance),
-	})
-
-	// Bound checks at two Vs.
-	scB := greencell.PaperScenario()
-	scB.Slots = *slots
-	scB.Seed = *seed
-	scB.KeepTraces = false
-	bounds, err := greencell.SweepV(scB, []float64{1e5, 1e6})
-	if err != nil {
-		return err
-	}
-	sandwich := true
-	for _, b := range bounds {
-		if b.Lower > b.Upper {
-			sandwich = false
-		}
-	}
-	checks = append(checks, check{
-		name: "bound-sandwich",
-		ok:   sandwich,
-		info: fmt.Sprintf("V=1e5: [%.4g, %.4g]  V=1e6: [%.4g, %.4g]",
-			bounds[0].Lower, bounds[0].Upper, bounds[1].Lower, bounds[1].Upper),
-	})
-	gap0 := bounds[0].Upper - bounds[0].Lower
-	gap1 := bounds[1].Upper - bounds[1].Lower
-	checks = append(checks, check{
-		name: "bound-tighten",
-		ok:   gap1 < gap0,
-		info: fmt.Sprintf("gap %.4g → %.4g (%.1fx)", gap0, gap1, gap0/gap1),
-	})
-
-	// Architecture ordering.
-	costs, err := greencell.CompareArchitectures(scB, []float64{1e5})
-	if err != nil {
-		return err
-	}
-	byArch := map[greencell.Architecture]float64{}
-	for _, c := range costs {
-		byArch[c.Architecture] = c.AvgCost.Value()
-	}
-	ordered := byArch[greencell.Proposed] < byArch[greencell.MultiHopNoRenewable] &&
-		byArch[greencell.OneHopRenewable] < byArch[greencell.OneHopNoRenewable] &&
-		byArch[greencell.Proposed] < byArch[greencell.OneHopNoRenewable]
-	checks = append(checks, check{
-		name: "architectures",
-		ok:   ordered,
-		info: fmt.Sprintf("proposed %.4g | onehop-r %.4g | multihop-nr %.4g | onehop-nr %.4g",
-			byArch[greencell.Proposed], byArch[greencell.OneHopRenewable],
-			byArch[greencell.MultiHopNoRenewable], byArch[greencell.OneHopNoRenewable]),
-	})
-
 	failed := 0
-	for _, c := range checks {
+	for _, c := range rep.Checks {
 		status := "PASS"
-		if !c.ok {
+		if !c.OK {
 			status = "FAIL"
 			failed++
 		}
-		fmt.Printf("%-4s %-18s %s\n", status, c.name, c.info)
+		fmt.Printf("%-4s %-18s %s\n", status, c.Name, c.Info)
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d of %d checks failed", failed, len(checks))
+		return fmt.Errorf("%d of %d checks failed", failed, len(rep.Checks))
 	}
-	fmt.Printf("all %d checks passed\n", len(checks))
+	fmt.Printf("all %d checks passed\n", len(rep.Checks))
 	return nil
 }

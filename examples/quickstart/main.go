@@ -31,7 +31,7 @@ func main() {
 		res.FinalBatteryWhBS, res.FinalBatteryWhUsers)
 	fmt.Printf("  unserved energy:                 %.3g Wh\n", res.DeficitWh)
 
-	if res.StableDataBacklog(200) {
+	if res.StableDataBacklog() {
 		fmt.Println("  backlog trajectories: flattening (strongly stable)")
 	} else {
 		fmt.Println("  backlog trajectories: still in transient at this horizon")

@@ -24,6 +24,11 @@
 // The four-architecture comparison of Fig. 2(f):
 //
 //	costs, err := greencell.CompareArchitectures(sc, []float64{1e5, 3e5, 5e5})
+//
+// The whole evaluation at once — every Fig. 2 panel and the seven
+// certificate checks, each distinct run simulated once:
+//
+//	rep, err := greencell.Reproduce(sc, greencell.PaperGrid)
 package greencell
 
 import (
@@ -42,6 +47,21 @@ type (
 	Architecture = sim.Architecture
 	// ArchitectureCost is one point of the Fig. 2(f) comparison.
 	ArchitectureCost = sim.ArchitectureCost
+	// Grid is the V values a reproduction sweeps.
+	Grid = sim.Grid
+	// Reproduction is every Fig. 2 panel plus the certificate checks.
+	Reproduction = sim.Reproduction
+	// Check is one certificate check's verdict.
+	Check = sim.Check
+	// Panel is one Fig. 2 panel's table and chart.
+	Panel = sim.Panel
+)
+
+// The two reproduction grids: the paper's (29 runs) and a smoke-scale one
+// (9 runs).
+var (
+	PaperGrid = sim.PaperGrid
+	QuickGrid = sim.QuickGrid
 )
 
 // The four architectures compared in the paper's Fig. 2(f).
@@ -79,3 +99,7 @@ func SweepV(sc Scenario, vs []float64) ([]Bounds, error) { return sim.SweepV(sc,
 func CompareArchitectures(sc Scenario, vs []float64) ([]ArchitectureCost, error) {
 	return sim.CompareArchitectures(sc, vs)
 }
+
+// Reproduce computes the paper's whole evaluation over the grid: every
+// Fig. 2 panel and the seven certificate checks.
+func Reproduce(sc Scenario, g Grid) (*Reproduction, error) { return sim.Reproduce(sc, g) }

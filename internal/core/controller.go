@@ -290,6 +290,9 @@ type Controller struct {
 	// warmSched carries the S1 LP bases across slots (docs/PERFORMANCE.md).
 	warmSched *sched.WarmState
 
+	// sinks is the per-session sink rule, built once.
+	sinks traffic.SinkTable
+
 	// q[s][i] is Q_i^s(t); the destination's entry stays zero.
 	q [][]queueing.Queue
 	// fifos shadows q with packet ages when cfg.TrackDelay.
@@ -348,6 +351,7 @@ func New(cfg Config) (*Controller, error) {
 		cfg:       cfg,
 		sched:     cfg.Scheduler,
 		warmSched: &sched.WarmState{},
+		sinks:     cfg.Traffic.SinkTable(cfg.Net.NumNodes(), cfg.Net.IsBS),
 	}
 	if c.sched == nil {
 		c.sched = sched.SequentialFix{}
@@ -485,16 +489,6 @@ func (c *Controller) SessionDelayQuantile(sessionIdx int, q float64) float64 {
 	return c.delays[sessionIdx].Quantile(q)
 }
 
-// isSink reports whether node is a delivery point of session s: the fixed
-// destination for downlink, any base station for uplink (anycast).
-func (c *Controller) isSink(s, node int) bool {
-	sess := c.cfg.Traffic.Sessions[s]
-	if sess.Uplink {
-		return c.cfg.Net.IsBS(node)
-	}
-	return node == sess.Dest
-}
-
 // QueueBacklog returns Q_i^s(t).
 func (c *Controller) QueueBacklog(sessionIdx, node int) float64 {
 	return c.q[sessionIdx][node].Backlog()
@@ -572,7 +566,7 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 	// the snapshots off the control path.
 	var chk *SlotCheck
 	if c.cfg.Check != nil {
-		chk = &SlotCheck{Slot: c.slot, Net: net, IsSink: c.isSink}
+		chk = &SlotCheck{Slot: c.slot, Net: net, IsSink: c.sinks.IsSink}
 	}
 
 	// Instrumentation is branch-only when off: st stays nil and no clock
@@ -778,7 +772,7 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 			Net:         net,
 			NumSessions: S,
 			Backlog: func(s, node int) float64 {
-				if c.isSink(s, node) {
+				if c.sinks.IsSink(s, node) {
 					return 0
 				}
 				return c.q[s][node].Backlog()
@@ -788,7 +782,7 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 			CapacityPkts: routeCap,
 			Dest:         dest,
 			Source:       dec2.Source,
-			Sink:         c.isSink,
+			Sink:         c.sinks.IsSink,
 			DemandPkts:   demand,
 		})
 	}
@@ -848,12 +842,12 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 			remaining[i] = c.q[s][i].Backlog()
 		}
 		for l, link := range net.Links {
-			if c.isSink(s, link.To) {
+			if c.sinks.IsSink(s, link.To) {
 				grant(s, l, link)
 			}
 		}
 		for l, link := range net.Links {
-			if !c.isSink(s, link.To) {
+			if !c.sinks.IsSink(s, link.To) {
 				grant(s, l, link)
 			}
 		}
@@ -877,7 +871,7 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 				continue
 			}
 			services[link.From] += a
-			if c.isSink(s, link.To) {
+			if c.sinks.IsSink(s, link.To) {
 				res.DeliveredPkts[s] += a
 			} else {
 				arrivals[link.To] += a
@@ -895,7 +889,7 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 					continue
 				}
 				batches := c.fifos[s][link.From].Pop(a)
-				if c.isSink(s, link.To) {
+				if c.sinks.IsSink(s, link.To) {
 					c.delays[s].Record(c.slot, batches)
 				} else {
 					c.fifos[s][link.To].PushBatches(batches)
@@ -904,7 +898,7 @@ func (c *Controller) Step(src *rng.Source) (*SlotResult, error) {
 			c.fifos[s][dec2.Source[s]].Push(dec2.Admit[s], c.slot)
 		}
 		for i := range net.Nodes {
-			if c.isSink(s, i) {
+			if c.sinks.IsSink(s, i) {
 				continue
 			}
 			if audit != nil {

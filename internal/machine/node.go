@@ -42,6 +42,7 @@ type NodeMachine struct {
 	coord    NodeID
 	net      *topology.Network
 	sessions []traffic.Session
+	sinks    traffic.SinkTable
 	checks   bool
 
 	queues  []queueing.Queue
@@ -93,6 +94,7 @@ func NewNodeMachine(id NodeID, coord NodeID, net *topology.Network, tm *traffic.
 		coord:    coord,
 		net:      net,
 		sessions: tm.Sessions,
+		sinks:    tm.SinkTable(net.NumNodes(), net.IsBS),
 		checks:   checks,
 		queues:   make([]queueing.Queue, S),
 		battery:  bat,
@@ -191,17 +193,6 @@ func (m *NodeMachine) beginSlot(obs LocalObs) []Message {
 	}}
 }
 
-// isSink reports whether this node is a delivery point of session s —
-// the session's destination for downlink, any base station for uplink —
-// matching the monolith's sink rule.
-func (m *NodeMachine) isSinkNode(s int, node int) bool {
-	sess := m.sessions[s]
-	if sess.Uplink {
-		return m.net.IsBS(node)
-	}
-	return node == sess.Dest
-}
-
 // execute runs the slot's transmissions: the routed flows of FlowUpdate
 // clamped against the node's true backlogs, emitted as PacketTransfers.
 // With no (or a late) FlowUpdate the node stays silent this slot.
@@ -233,7 +224,7 @@ func (m *NodeMachine) execute() []Message {
 		// from one transmitter).
 		for pass := 0; pass < 2; pass++ {
 			for k, l := range out {
-				toSink := m.isSinkNode(s, m.net.Links[l].To)
+				toSink := m.sinks.IsSink(s, m.net.Links[l].To)
 				if (pass == 0) != toSink {
 					continue
 				}
@@ -301,7 +292,7 @@ func (m *NodeMachine) settle() {
 			if a == 0 {
 				continue
 			}
-			if m.isSinkNode(s, int(m.id)) {
+			if m.sinks.IsSink(s, int(m.id)) {
 				m.cumDelivered += a
 				m.sinkLog = append(m.sinkLog, sinkDelivery{link: tr.Link, sess: s, pkts: a})
 			} else {
@@ -319,7 +310,7 @@ func (m *NodeMachine) settle() {
 		}
 	}
 	for s := range m.queues {
-		if m.isSinkNode(s, int(m.id)) {
+		if m.sinks.IsSink(s, int(m.id)) {
 			continue
 		}
 		m.queues[s].Step(m.arr[s], m.svc[s])

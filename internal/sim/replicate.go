@@ -69,9 +69,19 @@ func RunSeeds(ctx context.Context, sc Scenario, seeds []int64) []SeedOutcome {
 // are recovered into the seed's outcome like any other replication panic.
 func RunSeedsPrepared(ctx context.Context, sc Scenario, seeds []int64, prepare func(seed int64, sc *Scenario)) []SeedOutcome {
 	outs := make([]SeedOutcome, len(seeds))
+	forEach(len(seeds), func(i int) {
+		outs[i] = runSeed(ctx, sc, seeds[i], prepare)
+	})
+	return outs
+}
+
+// forEach calls f(i) for every i in [0, n) on a pool of at most
+// runtime.GOMAXPROCS(0) goroutines and returns once every call has. f must
+// confine its writes to state owned by index i.
+func forEach(n int, f func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
-	if workers > len(seeds) {
-		workers = len(seeds)
+	if workers > n {
+		workers = n
 	}
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
@@ -80,16 +90,15 @@ func RunSeedsPrepared(ctx context.Context, sc Scenario, seeds []int64, prepare f
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				outs[i] = runSeed(ctx, sc, seeds[i], prepare)
+				f(i)
 			}
 		}()
 	}
-	for i := range seeds {
+	for i := 0; i < n; i++ {
 		idxCh <- i
 	}
 	close(idxCh)
 	wg.Wait()
-	return outs
 }
 
 // runSeed executes one replication, converting a panic into the outcome's

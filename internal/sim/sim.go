@@ -234,20 +234,29 @@ type Result struct {
 	BatteryWhBSTrace, BatteryWhUsersTrace     []float64
 	VirtualBacklogTrace                       []float64
 	GridWhTrace                               []float64
+
+	// offeredPkts is the offered load: the sessions' summed DemandPkts.
+	offeredPkts float64
 }
 
-// StableDataBacklog reports whether the retained backlog series look
-// strongly stable: the tail slope must be far below one packet per slot of
-// residual growth relative to the demand scale.
-func (r *Result) StableDataBacklog(demandPktsPerSlot float64) bool {
+// TailSlopes returns the least-squares slopes, in packets per slot, of the
+// second half of the BS and user data backlog traces (0 without traces).
+func (r *Result) TailSlopes() (bs, users float64) {
+	tail := len(r.DataBacklogBSTrace) / 2
+	return queueing.Slope(r.DataBacklogBSTrace[tail:]), queueing.Slope(r.DataBacklogUsersTrace[tail:])
+}
+
+// StableDataBacklog is the empirical test of strong stability (Theorem 3):
+// both backlog tails (TailSlopes) grow by less than half the offered load,
+// the sessions' summed base demand v_s per slot, so the network serves at
+// least the other half instead of queueing it. A run without traces
+// (Scenario.KeepTraces off) is never reported stable.
+func (r *Result) StableDataBacklog() bool {
 	if r.DataBacklogBSTrace == nil {
 		return false
 	}
-	n := len(r.DataBacklogBSTrace)
-	tail := n / 2
-	slopeBS := queueing.Slope(r.DataBacklogBSTrace[tail:])
-	slopeU := queueing.Slope(r.DataBacklogUsersTrace[tail:])
-	return slopeBS < demandPktsPerSlot && slopeU < demandPktsPerSlot
+	bs, users := r.TailSlopes()
+	return bs < r.offeredPkts/2 && users < r.offeredPkts/2
 }
 
 // ErrScenario reports an invalid scenario.
@@ -359,6 +368,9 @@ func RunCtx(ctx context.Context, sc Scenario) (*Result, error) {
 func collect(ctx context.Context, sc Scenario, tm *traffic.Model, ctrl *core.Controller,
 	step func() (*core.SlotResult, error)) (*Result, error) {
 	res := &Result{B: ctrl.B()}
+	for _, sess := range tm.Sessions {
+		res.offeredPkts += sess.DemandPkts
+	}
 	costT := queueing.NewTracker(sc.KeepTraces)
 	penT := queueing.NewTracker(sc.KeepTraces)
 	gridT := queueing.NewTracker(sc.KeepTraces)
@@ -495,13 +507,19 @@ func BoundsAt(sc Scenario, v float64) (Bounds, error) {
 		return Bounds{}, fmt.Errorf("lower bound run: %w", err)
 	}
 
+	return boundsOf(v, ur, lr), nil
+}
+
+// boundsOf forms the bound pair at v from the proposed run ur and the
+// relaxed run lr.
+func boundsOf(v float64, ur, lr *Result) Bounds {
 	return Bounds{
 		V:               v,
 		Upper:           ur.AvgPenaltyObjective,
 		Lower:           lr.AvgPenaltyObjective - lr.B/v,
 		UpperEnergyCost: ur.AvgEnergyCost,
 		LowerEnergyCost: lr.AvgEnergyCost,
-	}, nil
+	}
 }
 
 // SweepV computes the bound pair for each V — the series of Fig. 2(a).

@@ -211,8 +211,8 @@ func TestRelaxedSchedulerRuns(t *testing.T) {
 }
 
 func TestStableDataBacklogHelper(t *testing.T) {
-	r := &Result{}
-	if r.StableDataBacklog(10) {
+	r := &Result{offeredPkts: 20} // threshold: 10 pkts/slot of tail growth
+	if r.StableDataBacklog() {
 		t.Error("nil traces should not be stable")
 	}
 	r.DataBacklogBSTrace = make([]float64, 100)
@@ -221,14 +221,30 @@ func TestStableDataBacklogHelper(t *testing.T) {
 		r.DataBacklogBSTrace[i] = 50   // flat
 		r.DataBacklogUsersTrace[i] = 3 // flat
 	}
-	if !r.StableDataBacklog(10) {
+	if !r.StableDataBacklog() {
 		t.Error("flat traces should be stable")
+	}
+	for i := range r.DataBacklogUsersTrace {
+		r.DataBacklogUsersTrace[i] = float64(i) * 9.9 // just under half the demand
+	}
+	if !r.StableDataBacklog() {
+		t.Error("users tail slope 9.9 < 20/2 should be stable")
+	}
+	for i := range r.DataBacklogUsersTrace {
+		r.DataBacklogUsersTrace[i] = float64(i) * 10.1 // just over
+	}
+	if r.StableDataBacklog() {
+		t.Error("users tail slope 10.1 > 20/2 should not be stable")
 	}
 	for i := range r.DataBacklogBSTrace {
 		r.DataBacklogBSTrace[i] = float64(i) * 100 // steep growth
+		r.DataBacklogUsersTrace[i] = 3
 	}
-	if r.StableDataBacklog(1) {
+	if r.StableDataBacklog() {
 		t.Error("steeply growing trace should not be stable")
+	}
+	if bs, users := r.TailSlopes(); math.Abs(bs-100) > 1e-9 || math.Abs(users) > 1e-9 {
+		t.Errorf("TailSlopes = %v, %v; want 100, 0", bs, users)
 	}
 }
 
@@ -237,12 +253,24 @@ func TestUplinkScenario(t *testing.T) {
 	sc.UplinkSessions = 2
 	sc.Slots = 20
 	sc.TrackDelay = true
+	// Uplink sessions follow the downlink ones; each must reach a BS.
+	uplinkDelivered := make([]float64, sc.UplinkSessions)
+	sc.SlotHook = func(sr *core.SlotResult) {
+		for k := range uplinkDelivered {
+			uplinkDelivered[k] += sr.DeliveredPkts[sc.NumSessions+k]
+		}
+	}
 	res, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.DeliveredPkts <= 0 {
 		t.Error("mixed-traffic scenario delivered nothing")
+	}
+	for k, d := range uplinkDelivered {
+		if d <= 0 {
+			t.Errorf("uplink session %d delivered nothing to any base station", sc.NumSessions+k)
+		}
 	}
 }
 

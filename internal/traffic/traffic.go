@@ -169,6 +169,33 @@ func (m *Model) Validate(numNodes int) error {
 // NumSessions returns the session count.
 func (m *Model) NumSessions() int { return len(m.Sessions) }
 
+// SinkTable is the sink rule of a model's sessions materialized over a
+// network's nodes: a node is a delivery point of session s if it is the
+// session's destination (downlink) or any base station (uplink, anycast).
+type SinkTable struct {
+	nodes int
+	sink  []bool // sink[s*nodes+node]
+}
+
+// SinkTable builds m's sink table over numNodes nodes; isBS reports
+// whether a node is a base station.
+func (m *Model) SinkTable(numNodes int, isBS func(node int) bool) SinkTable {
+	t := SinkTable{nodes: numNodes, sink: make([]bool, len(m.Sessions)*numNodes)}
+	for s, sess := range m.Sessions {
+		for node := 0; node < numNodes; node++ {
+			if sess.Uplink {
+				t.sink[s*numNodes+node] = isBS(node)
+			} else {
+				t.sink[s*numNodes+node] = node == sess.Dest
+			}
+		}
+	}
+	return t
+}
+
+// IsSink reports whether node is a delivery point of session s.
+func (t SinkTable) IsSink(s, node int) bool { return t.sink[s*t.nodes+node] }
+
 // DemandPktsPerSlot converts a bit-rate demand into packets per slot.
 func DemandPktsPerSlot(bitsPerSec, slotSeconds, packetBits float64) float64 {
 	return bitsPerSec * slotSeconds / packetBits

@@ -74,3 +74,21 @@ func TestValidate(t *testing.T) {
 		})
 	}
 }
+
+func TestSinkTable(t *testing.T) {
+	// Nodes 0 and 1 are base stations; session 0 is downlink to user 3,
+	// session 1 is uplink from user 2 (anycast to any base station).
+	m := &Model{Sessions: []Session{{ID: 0, Dest: 3}, {ID: 1, Uplink: true, Source: 2}}}
+	tab := m.SinkTable(5, func(node int) bool { return node < 2 })
+	want := [][]bool{
+		{false, false, false, true, false},
+		{true, true, false, false, false},
+	}
+	for s, row := range want {
+		for node, w := range row {
+			if got := tab.IsSink(s, node); got != w {
+				t.Errorf("IsSink(%d, %d) = %v, want %v", s, node, got, w)
+			}
+		}
+	}
+}
