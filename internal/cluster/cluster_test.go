@@ -658,6 +658,44 @@ func TestCoordinatorStreamRejectsFromSlot(t *testing.T) {
 	}
 }
 
+// TestJobFinishesOnTheTickItsLastCellLands runs a one-cell job under a
+// long dispatcher tick. The cell is leased on the first tick and collected
+// on the second, and the job must turn terminal on that second tick: well
+// under two intervals after submission, not a third tick later.
+func TestJobFinishesOnTheTickItsLastCellLands(t *testing.T) {
+	urls, _ := startWorkers(t, 1)
+	cfg := fastCfg(urls)
+	cfg.PollInterval = 2 * time.Second
+	c := newTestCoord(t, cfg)
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	// The first tick leases the cell only to a worker already probed ready.
+	deadline := time.Now().Add(30 * time.Second)
+	for c.WorkerStatuses()[0].State != WorkerReady {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never became ready")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	start := time.Now()
+	st, err := c.Submit(server.JobRequest{Spec: tinySpec(1)})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	st = waitCoord(t, c, st.ID, func(st server.JobStatus) bool { return st.State.Terminal() }, "terminal")
+	elapsed := time.Since(start)
+	if st.State != server.JobDone {
+		t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
+	}
+	if elapsed >= 2*cfg.PollInterval {
+		t.Fatalf("job turned terminal %v after submission, want under two %v ticks", elapsed, cfg.PollInterval)
+	}
+}
+
 // TestClusterCacheEvictionRecompute caps the result cache to a single
 // byte: every completed cell immediately evicts its predecessors, so a
 // resubmit of the same job cannot be served from cache and must re-run

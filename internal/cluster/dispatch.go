@@ -152,20 +152,17 @@ type action struct {
 }
 
 // stepJob runs one dispatcher tick and reports whether every cell is
-// terminal. Planning happens under the coordinator mutex; the RPCs and
-// their commits follow outside/under it respectively.
+// terminal once the tick's actions have run, so a job whose last cell is
+// collected on this tick finishes now rather than one PollInterval later.
+// Planning happens under the coordinator mutex; the RPCs and their commits
+// follow outside/under it respectively.
 func (c *Coordinator) stepJob(ctx context.Context, j *Job) bool {
 	t := now()
 	var acts []action
 
 	c.mu.Lock()
-	allDone := true
 	for i, seed := range j.Seeds {
 		cl := j.cells[seed]
-		if cl.state == cellDone || cl.state == cellFailed {
-			continue
-		}
-		allDone = false
 		switch cl.state {
 		case cellPending:
 			if cl.attempts >= c.cfg.MaxAttempts {
@@ -208,7 +205,15 @@ func (c *Coordinator) stepJob(ctx context.Context, j *Job) bool {
 			c.expireLease(ctx, j, a)
 		}
 	}
-	return allDone
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, seed := range j.Seeds {
+		if st := j.cells[seed].state; st != cellDone && st != cellFailed {
+			return false
+		}
+	}
+	return true
 }
 
 // pickWorker chooses the lease target for a cell: start at

@@ -97,7 +97,7 @@ func (e *revisedEngine) exportBasis(sig uint64) *Basis {
 // the snapshot does not fit p's column layout or its basis matrix is
 // singular under p's coefficients; callers fall back to a cold solve.
 func newRevisedFromBasis(p *Problem, b *Basis) *revisedEngine {
-	e, rhs, _ := newEngineShell(p)
+	e, _ := newEngineShell(p)
 	e.ncol = len(e.status)
 	e.artStart = e.ncol
 	if len(b.status) != e.ncol || len(b.rowBasic) != e.m {
@@ -112,7 +112,6 @@ func newRevisedFromBasis(p *Problem, b *Basis) *revisedEngine {
 	if nbasic != e.m {
 		return nil
 	}
-	e.basis = make([]int, e.m)
 	seen := make([]bool, e.ncol)
 	for i, bj := range b.rowBasic {
 		j := int(bj)
@@ -138,14 +137,8 @@ func newRevisedFromBasis(p *Problem, b *Basis) *revisedEngine {
 			e.xval[j] = e.lo[j]
 		}
 	}
-	e.bvec = make([]float64, e.m)
-	copy(e.bvec, rhs)
-	e.xB = make([]float64, e.m)
 	e.binv = make([][]float64, e.m) // all implicit until refactorize fills them
-	e.y = make([]float64, e.m)
-	e.dir = make([]float64, e.m)
-	e.pivNZ = make([]int, 0, e.m)
-	e.cvec = make([]float64, e.ncol)
+	e.cvec = e.cvec[:e.ncol]
 	if !e.refactorize() {
 		return nil
 	}

@@ -157,6 +157,18 @@ type Problem struct {
 	// path. The journal is consumed (truncated) by the engine it syncs.
 	muts     []mutation
 	mutsFull bool
+
+	// slab holds the terms of the rows added since it was last grown;
+	// AddConstraint carves each row from its tail, capped at the row's
+	// length so appending to one row cannot overwrite the next.
+	slab []Term
+	// checked counts the leading constraints whose terms and right-hand
+	// sides validateForSolve has accepted. Terms never change after
+	// AddConstraint and variables are never removed, so a solve re-checks
+	// only rows added since; rhsEdited, set by SetConstraintRHS, makes it
+	// re-check the accepted rows' right-hand sides too.
+	checked   int
+	rhsEdited bool
 }
 
 // mutation is one journaled edit: which kind of mutable field changed and
@@ -252,14 +264,12 @@ func (p *Problem) SetVarCost(v VarID, cost float64) {
 // re-running phase 1.
 func (p *Problem) SetConstraintRHS(i int, rhs float64) {
 	p.cons[i].rhs = rhs
+	p.rhsEdited = true
 	p.journal(mutRHS, i)
 }
 
 // ConstraintRHS returns the current right-hand side of constraint i.
 func (p *Problem) ConstraintRHS(i int) float64 { return p.cons[i].rhs }
-
-// VarName returns the name given to v at creation.
-func (p *Problem) VarName(v VarID) string { return p.vars[v].name }
 
 // VarBounds returns the current bounds of v.
 func (p *Problem) VarBounds(v VarID) (lo, hi float64) {
@@ -268,20 +278,38 @@ func (p *Problem) VarBounds(v VarID) (lo, hi float64) {
 
 // AddConstraint adds the row "sum(terms) rel rhs". Duplicate variables in
 // terms are summed. Rows with no terms are allowed and checked for
-// consistency at solve time.
+// consistency at solve time. The terms are copied: the caller may reuse
+// its slice at once.
 func (p *Problem) AddConstraint(name string, rel Rel, rhs float64, terms ...Term) {
 	p.mutsFull = true // structural edit: no incremental refresh across it
 	p.muts = p.muts[:0]
-	cp := make([]Term, len(terms))
-	copy(cp, terms)
-	p.cons = append(p.cons, constraint{name: name, rel: rel, rhs: rhs, terms: cp})
+	if cap(p.slab)-len(p.slab) < len(terms) {
+		// A fresh slab, double the last up to maxSlab terms: rows already
+		// added keep the old one, so nothing is copied.
+		p.slab = make([]Term, 0, max(min(2*cap(p.slab), maxSlab), len(terms), minSlab))
+	}
+	start := len(p.slab)
+	p.slab = append(p.slab, terms...)
+	row := p.slab[start:len(p.slab):len(p.slab)]
+	p.cons = append(p.cons, constraint{name: name, rel: rel, rhs: rhs, terms: row})
 }
+
+// minSlab and maxSlab bound the term slabs AddConstraint allocates (a
+// longer row gets a slab of its own length). 2048 terms are 32 KiB, the
+// largest size class of the runtime's small-object allocator; doubling
+// without a cap left up to half of a paper-scale S1 problem's last slab
+// unused.
+const (
+	minSlab = 64
+	maxSlab = 2048
+)
 
 // Clone returns a deep copy of p; bound changes on the clone do not affect
 // the original. Constraint term slices are shared structurally but never
-// mutated by the solver, so cloning copies only the headers.
+// mutated by the solver, so cloning copies only the headers; the clone
+// starts a slab of its own for the rows it adds.
 func (p *Problem) Clone() *Problem {
-	q := &Problem{sense: p.sense, maxIters: p.maxIters}
+	q := &Problem{sense: p.sense, maxIters: p.maxIters, checked: p.checked, rhsEdited: p.rhsEdited}
 	q.vars = make([]variable, len(p.vars))
 	copy(q.vars, p.vars)
 	q.cons = make([]constraint, len(p.cons))
@@ -362,6 +390,9 @@ func (p *Problem) Solve() (*Solution, error) {
 // validateForSolve checks the problem for structural validity. It returns
 // a non-nil Solution for trivially infeasible bound boxes, a non-nil error
 // for malformed input, and (nil, nil) when the problem may be solved.
+// Bounds are checked on every call; a constraint's terms only until they
+// are accepted once, and its right-hand side again after SetConstraintRHS.
+// The first offending row in index order is reported either way.
 func (p *Problem) validateForSolve() (*Solution, error) {
 	for i, v := range p.vars {
 		if math.IsInf(v.lo, 0) || math.IsNaN(v.lo) || math.IsNaN(v.hi) || math.IsInf(v.hi, -1) {
@@ -376,21 +407,29 @@ func (p *Problem) validateForSolve() (*Solution, error) {
 			}
 		}
 	}
-	for _, c := range p.cons {
-		for _, t := range c.terms {
-			if int(t.Var) < 0 || int(t.Var) >= len(p.vars) {
-				return nil, fmt.Errorf("%w: constraint %q references unknown variable %d",
-					ErrBadProblem, c.name, t.Var)
-			}
-			if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-				return nil, fmt.Errorf("%w: constraint %q has non-finite coefficient",
-					ErrBadProblem, c.name)
+	from := p.checked
+	if p.rhsEdited {
+		from = 0
+	}
+	for i := from; i < len(p.cons); i++ {
+		c := &p.cons[i]
+		if i >= p.checked {
+			for _, t := range c.terms {
+				if int(t.Var) < 0 || int(t.Var) >= len(p.vars) {
+					return nil, fmt.Errorf("%w: constraint %q references unknown variable %d",
+						ErrBadProblem, c.name, t.Var)
+				}
+				if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
+					return nil, fmt.Errorf("%w: constraint %q has non-finite coefficient",
+						ErrBadProblem, c.name)
+				}
 			}
 		}
 		if math.IsNaN(c.rhs) || math.IsInf(c.rhs, 0) {
 			return nil, fmt.Errorf("%w: constraint %q has non-finite rhs", ErrBadProblem, c.name)
 		}
 	}
+	p.checked, p.rhsEdited = len(p.cons), false
 	return nil, nil
 }
 

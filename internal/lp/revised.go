@@ -42,6 +42,10 @@ type revisedEngine struct {
 	// e_i: rows start implicit and are materialized by binvRow on first
 	// write, and every reader treats a nil row as e_i.
 	binv [][]float64
+	// rowSlab is zeroed room for rows yet to be materialized, carved by
+	// takeRow; explicit counts the rows of binv that are not nil.
+	rowSlab  []float64
+	explicit int
 	// cost is the phase-2 objective (sense-adjusted to minimize).
 	cost []float64
 
@@ -110,16 +114,59 @@ func (c *sparseCol) add(row int, v float64) {
 // row-equilibrated form — the part of engine setup shared by the cold
 // constructor newRevised (which adds row flips and artificials on top) and
 // the basis-import constructor newRevisedFromBasis (which installs a
-// caller-provided basis instead). The returned rhs is equilibrated but
-// unflipped, and slackOf maps each row to its slack column (−1 for EQ
-// rows).
-func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int) {
+// caller-provided basis instead). It leaves the equilibrated, unflipped
+// right-hand side in bvec, and slackOf maps each row to its slack column
+// (−1 for EQ rows).
+//
+// Every float and int array the engine and its constructors use is carved
+// from one float slab and one int slab, sized up front: ncap = n+2m bounds
+// structural, slack, and artificial columns together, so addCol's appends
+// stay within each array's carved capacity.
+func newEngineShell(p *Problem) (e *revisedEngine, slackOf []int) {
 	m := len(p.cons)
 	n := len(p.vars)
+	ncap := n + 2*m
+
+	// Each term is at most one structural entry, and every slack column
+	// holds one.
+	total := 0
+	for _, c := range p.cons {
+		total += len(c.terms)
+		if c.rel != EQ {
+			total++
+		}
+	}
+	fs := make([]float64, total+8*m+5*ncap)
+	is := make([]int, total+3*n+3*m)
+	takeF := func(k int) []float64 {
+		s := fs[:k:k]
+		fs = fs[k:]
+		return s
+	}
+	takeI := func(k int) []int {
+		s := is[:k:k]
+		is = is[k:]
+		return s
+	}
+	idxSlab, valSlab := takeI(total), takeF(total)
+
 	e = &revisedEngine{
 		m: m, n: n,
 		limit:   p.maxIters,
-		rowMult: make([]float64, m),
+		rowMult: takeF(m),
+		bvec:    takeF(m),
+		xB:      takeF(m),
+		y:       takeF(m),
+		dir:     takeF(m),
+		resid:   takeF(m),
+		lo:      takeF(ncap)[:n],
+		hi:      takeF(ncap)[:n],
+		cost:    takeF(ncap)[:n],
+		xval:    takeF(ncap)[:n],
+		cvec:    takeF(ncap),
+		basis:   takeI(m),
+		pivNZ:   takeI(m)[:0],
+		status:  make([]colStatus, n, ncap),
 	}
 	for i := range e.rowMult {
 		e.rowMult[i] = 1
@@ -130,22 +177,15 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 		sign = -1.0
 	}
 
-	// Column storage is carved from two slabs sized by a counting pass:
-	// each variable's term count (duplicates included) bounds its entries,
-	// and every slack column holds one. take hands out an empty column
-	// with room for k entries.
-	nnzOf := make([]int, n)
-	total := 0
+	// Column storage is carved from the index and value slabs: each
+	// variable's term count (duplicates included) bounds its entries.
+	// take hands out an empty column with room for k entries.
+	nnzOf := takeI(n)
 	for _, c := range p.cons {
 		for _, t := range c.terms {
 			nnzOf[t.Var]++
 		}
-		total += len(c.terms)
-		if c.rel != EQ {
-			total++
-		}
 	}
-	idxSlab, valSlab := make([]int, total), make([]float64, total)
 	take := func(k int) sparseCol {
 		c := sparseCol{idx: idxSlab[:0:k], val: valSlab[:0:k]}
 		idxSlab, valSlab = idxSlab[k:], valSlab[k:]
@@ -155,16 +195,16 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 	// Structural columns straight from the constraint terms, duplicate
 	// variables summed in place (lastRow/lastPos find a duplicate of the
 	// current row in O(1) because terms arrive row by row).
-	e.cols = make([]sparseCol, n, n+2*m)
+	e.cols = make([]sparseCol, n, ncap)
 	for j, k := range nnzOf {
 		e.cols[j] = take(k)
 	}
-	lastRow := make([]int, n)
-	lastPos := make([]int, n)
+	lastRow := takeI(n)
+	lastPos := takeI(n)
 	for j := range lastRow {
 		lastRow[j] = -1
 	}
-	rhs = make([]float64, m)
+	rhs := e.bvec
 	for i, c := range p.cons {
 		rhs[i] = c.rhs
 		for _, t := range c.terms {
@@ -181,8 +221,8 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 	}
 
 	// Row equilibration over the structural coefficients.
-	rowScale := make([]float64, m)
-	rowMax := make([]float64, m)
+	rowScale := takeF(m)
+	rowMax := takeF(m)
 	for i := range rowScale {
 		rowScale[i] = 1
 	}
@@ -218,11 +258,6 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 		col.idx, col.val = col.idx[:w], col.val[:w]
 	}
 
-	e.lo = make([]float64, n, n+2*m)
-	e.hi = make([]float64, n, n+2*m)
-	e.cost = make([]float64, n, n+2*m)
-	e.status = make([]colStatus, n, n+2*m)
-	e.xval = make([]float64, n, n+2*m)
 	for j, v := range p.vars {
 		lo, hi := v.lo, v.hi
 		if lo > hi {
@@ -235,7 +270,7 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 
 	// Slack columns, in row order: the canonical column layout a Basis
 	// snapshot refers to is structural 0..n−1 followed by these.
-	slackOf = make([]int, m)
+	slackOf = takeI(m)
 	for i := range slackOf {
 		slackOf[i] = -1
 	}
@@ -251,7 +286,7 @@ func newEngineShell(p *Problem) (e *revisedEngine, rhs []float64, slackOf []int)
 			slackOf[i] = j
 		}
 	}
-	return e, rhs, slackOf
+	return e, slackOf
 }
 
 // addCol appends a nonbasic column at its lower bound and returns its
@@ -270,7 +305,7 @@ func (e *revisedEngine) addCol(lo, hi, cost float64, col sparseCol) int {
 // slacks, artificials, and the slack/artificial starting basis. Columns are
 // built directly in sparse form, with no dense staging matrix.
 func newRevised(p *Problem) *revisedEngine {
-	e, rhs, slackOf := newEngineShell(p)
+	e, slackOf := newEngineShell(p)
 	m, n := e.m, e.n
 	flip := make([]bool, m)
 
@@ -278,12 +313,8 @@ func newRevised(p *Problem) *revisedEngine {
 	// flipping rows so basic values are non-negative. The residuals
 	// rhs − Σ_j A_j x_j accumulate column-by-column in ascending j — the
 	// same per-row subtraction order as a dense row scan.
-	e.basis = make([]int, m)
-	e.xB = make([]float64, m)
-	e.bvec = make([]float64, m)
-	copy(e.bvec, rhs)
-	residual := make([]float64, m)
-	copy(residual, rhs)
+	residual := e.resid // recomputeXB's scratch, free until the first solve
+	copy(residual, e.bvec)
 	for j := 0; j < n; j++ {
 		if e.xval[j] == 0 {
 			continue
@@ -354,10 +385,7 @@ func newRevised(p *Problem) *revisedEngine {
 	// every row implicit.
 	e.binv = make([][]float64, m)
 
-	e.y = make([]float64, m)
-	e.dir = make([]float64, m)
-	e.pivNZ = make([]int, 0, m)
-	e.cvec = make([]float64, e.ncol)
+	e.cvec = e.cvec[:e.ncol]
 	e.syncJournal(p) // built from p's current state: pending edits covered
 	return e
 }
@@ -377,10 +405,31 @@ func (e *revisedEngine) colDot(j int, v []float64) float64 {
 func (e *revisedEngine) binvRow(i int) []float64 {
 	row := e.binv[i]
 	if row == nil {
-		row = make([]float64, e.m)
+		row = e.takeRow()
 		row[i] = 1
 		e.binv[i] = row
 	}
+	return row
+}
+
+// rowChunkBytes bounds one refill of rowSlab: 32 KiB, the largest size
+// class of the runtime's small-object allocator.
+const rowChunkBytes = 32 << 10
+
+// takeRow carves one zeroed m-wide row from rowSlab and counts it
+// explicit. An exhausted slab is refilled with as many rows as fit in
+// rowChunkBytes (at least one), but never more than are still implicit.
+// A solve that materializes k rows thus allocates about k/chunk slabs and
+// at most one chunk of rows it never uses; slabs that grew with the row
+// count instead left about a third of their rows unused at paper scale.
+func (e *revisedEngine) takeRow() []float64 {
+	m := e.m
+	if len(e.rowSlab) < m {
+		e.rowSlab = make([]float64, min(max(rowChunkBytes/(8*m), 1), m-e.explicit)*m)
+	}
+	row := e.rowSlab[:m:m]
+	e.rowSlab = e.rowSlab[m:]
+	e.explicit++
 	return row
 }
 
@@ -687,8 +736,9 @@ func (e *revisedEngine) refactorize() bool {
 	// shows up as GC pressure).
 	if e.refacWork == nil {
 		e.refacWork = make([][]float64, m)
+		slab := make([]float64, 2*m*m)
 		for i := range e.refacWork {
-			e.refacWork[i] = make([]float64, 2*m)
+			e.refacWork[i], slab = slab[:2*m:2*m], slab[2*m:]
 		}
 	}
 	work := e.refacWork
@@ -733,18 +783,10 @@ func (e *revisedEngine) refactorize() bool {
 			}
 		}
 	}
-	// Every row is explicit after a factorization; the implicit ones are
-	// carved from one allocation.
-	implicit := 0
-	for _, row := range e.binv {
-		if row == nil {
-			implicit++
-		}
-	}
-	rows := make([]float64, implicit*m)
+	// Every row is explicit after a factorization.
 	for i := 0; i < m; i++ {
 		if e.binv[i] == nil {
-			e.binv[i], rows = rows[:m:m], rows[m:]
+			e.binv[i] = e.takeRow()
 		}
 		copy(e.binv[i], work[i][m:])
 	}
@@ -758,9 +800,6 @@ func (e *revisedEngine) refactorize() bool {
 func (e *revisedEngine) recomputeXB() {
 	m := e.m
 	e.staleRefreshes = 0
-	if e.resid == nil {
-		e.resid = make([]float64, m)
-	}
 	resid := e.resid
 	copy(resid, e.bvec)
 	for j := 0; j < e.ncol; j++ {

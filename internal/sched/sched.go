@@ -203,55 +203,83 @@ func enumeratePairs(req *Request) []pair {
 //
 //	max  Σ weight_p · α_p
 //	s.t. node-radio rows (22) and big-M SINR rows (24), 0 ≤ α ≤ 1.
+//
+// Variables and rows are unnamed: the LP lives for one Schedule call and
+// nothing reads names back.
 func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 	net := req.Net
 	p := lp.NewProblem(lp.Maximize)
 	p.SetIterationLimit(req.MaxLPIterations)
 	ids := make([]lp.VarID, len(pairs))
 	for k, pr := range pairs {
+		ids[k] = p.AddVar("", 0, 1, pr.weight)
+	}
+
+	// One counting pass sizes the row lists of (22), the one-band rule and
+	// (20)/(21), keyed node, link and node·nBands+band in one index space,
+	// and each band's pair list for (24). The lists are carved from one
+	// term slab and one index slab with full slice expressions, so appends
+	// stay in their own room, and filled in ascending pair order, so every
+	// row keeps its terms in pair order.
+	nNodes, nLinks, nBands := net.NumNodes(), len(net.Links), net.Spectrum.NumBands()
+	lists := make([][]lp.Term, nNodes+nLinks+nNodes*nBands)
+	byNode, byLink, byNodeBand := lists[:nNodes], lists[nNodes:nNodes+nLinks], lists[nNodes+nLinks:]
+	byBand := make([][]int, nBands)
+	count := make([]int, len(lists)+nBands) // list sizes, then band sizes
+	for _, pr := range pairs {
 		link := net.Links[pr.link]
-		ids[k] = p.AddVar(fmt.Sprintf("a_%d_%d_b%d", link.From, link.To, pr.band), 0, 1, pr.weight)
+		count[link.From]++
+		count[link.To]++
+		count[nNodes+pr.link]++
+		count[nNodes+nLinks+link.From*nBands+pr.band]++
+		count[nNodes+nLinks+link.To*nBands+pr.band]++
+		count[len(lists)+pr.band]++
+	}
+	slab := make([]lp.Term, 5*len(pairs))
+	for r := range lists {
+		c := count[r]
+		lists[r], slab = slab[:0:c], slab[c:]
+	}
+	ks := make([]int, len(pairs))
+	maxBand := 0
+	for b := range byBand {
+		c := count[len(lists)+b]
+		byBand[b], ks = ks[:0:c], ks[c:]
+		maxBand = max(maxBand, c)
+	}
+	for k, pr := range pairs {
+		link := net.Links[pr.link]
+		t := lp.Term{Var: ids[k], Coef: 1}
+		byNode[link.From] = append(byNode[link.From], t)
+		byNode[link.To] = append(byNode[link.To], t)
+		byLink[pr.link] = append(byLink[pr.link], t)
+		byNodeBand[link.From*nBands+pr.band] = append(byNodeBand[link.From*nBands+pr.band], t)
+		byNodeBand[link.To*nBands+pr.band] = append(byNodeBand[link.To*nBands+pr.band], t)
+		byBand[pr.band] = append(byBand[pr.band], k)
 	}
 
 	// (22): per node, at most Radios(i) activities across all bands and
 	// partners (the paper's single-radio rule generalized). Rows are added
 	// in node order so the LP is built deterministically (map iteration
 	// would randomize row order and hence tie-breaking).
-	byNode := make([][]lp.Term, net.NumNodes())
-	for k, pr := range pairs {
-		link := net.Links[pr.link]
-		byNode[link.From] = append(byNode[link.From], lp.Term{Var: ids[k], Coef: 1})
-		byNode[link.To] = append(byNode[link.To], lp.Term{Var: ids[k], Coef: 1})
-	}
 	for node, terms := range byNode {
 		if len(terms) > net.Radios(node) {
-			p.AddConstraint(fmt.Sprintf("radio_%d", node), lp.LE, float64(net.Radios(node)), terms...)
+			p.AddConstraint("", lp.LE, float64(net.Radios(node)), terms...)
 		}
 	}
 	// A link occupies one band at a time even with several radios.
-	byLink := make([][]lp.Term, len(net.Links))
-	for k, pr := range pairs {
-		byLink[pr.link] = append(byLink[pr.link], lp.Term{Var: ids[k], Coef: 1})
-	}
-	for l, terms := range byLink {
+	for _, terms := range byLink {
 		if len(terms) > 1 {
-			p.AddConstraint(fmt.Sprintf("oneband_%d", l), lp.LE, 1, terms...)
+			p.AddConstraint("", lp.LE, 1, terms...)
 		}
 	}
 	// (20)/(21): a node engages a given band at most once (no two
 	// same-band transmissions from one node, no same-band transmit+receive)
 	// even when it has several radios. For a single radio (22) implies
 	// this; with R > 1 it is an independent constraint.
-	nBands := net.Spectrum.NumBands()
-	byNodeBand := make([][]lp.Term, net.NumNodes()*nBands)
-	for k, pr := range pairs {
-		link := net.Links[pr.link]
-		byNodeBand[link.From*nBands+pr.band] = append(byNodeBand[link.From*nBands+pr.band], lp.Term{Var: ids[k], Coef: 1})
-		byNodeBand[link.To*nBands+pr.band] = append(byNodeBand[link.To*nBands+pr.band], lp.Term{Var: ids[k], Coef: 1})
-	}
 	for nb, terms := range byNodeBand {
 		if len(terms) > 1 && net.Radios(nb/nBands) > 1 {
-			p.AddConstraint(fmt.Sprintf("nodeband_%d", nb), lp.LE, 1, terms...)
+			p.AddConstraint("", lp.LE, 1, terms...)
 		}
 	}
 
@@ -260,7 +288,7 @@ func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 	gamma := net.Radio.SINRThreshold
 	eta := net.Radio.NoiseDensity
 	// One scratch row serves every SINR row: AddConstraint copies its terms.
-	terms := make([]lp.Term, 0, len(pairs))
+	terms := make([]lp.Term, 0, maxBand)
 	for k, pr := range pairs {
 		link := net.Links[pr.link]
 		w := req.Widths[pr.band]
@@ -285,11 +313,11 @@ func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 			scale = 1 / rhs
 		}
 		terms = append(terms[:0], lp.Term{Var: ids[k], Coef: (bigM - gP) * scale})
-		for k2, pr2 := range pairs {
-			if k2 == k || pr2.band != pr.band {
+		for _, k2 := range byBand[pr.band] {
+			if k2 == k {
 				continue
 			}
-			tx := net.Links[pr2.link].From
+			tx := net.Links[pairs[k2].link].From
 			if tx == link.From {
 				continue
 			}
@@ -299,7 +327,7 @@ func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 			}
 			terms = append(terms, lp.Term{Var: ids[k2], Coef: coef * scale})
 		}
-		p.AddConstraint(fmt.Sprintf("sinr_%d", k), lp.LE, rhs*scale, terms...)
+		p.AddConstraint("", lp.LE, rhs*scale, terms...)
 	}
 	return p, ids
 }
@@ -399,8 +427,11 @@ func (SequentialFix) Schedule(req *Request) (*Assignment, error) {
 	// at the power caps together with the pairs already fixed to one —
 	// i.e. whether the big-M rows (24) admit the extended schedule. Fixing
 	// only compatible pairs keeps every intermediate LP feasible.
+	// One transmission buffer serves every call; AllMeetThreshold keeps
+	// no reference to it.
+	txs := make([]radio.Transmission, 0, len(pairs)+1)
 	compatible := func(k int) bool {
-		txs := make([]radio.Transmission, 0, len(pairs)+1)
+		txs = txs[:0]
 		for k2 := range pairs {
 			if chosen[k2] && pairs[k2].band == pairs[k].band {
 				link := req.Net.Links[pairs[k2].link]

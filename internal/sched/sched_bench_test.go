@@ -8,14 +8,14 @@ import (
 	"greencell/internal/units"
 )
 
-// benchRequest builds a paper-scale scheduling instance with random
+// paperRequest builds a paper-scale scheduling instance with random
 // positive weights on a third of the links (typical steady-state density).
-func benchRequest(b *testing.B) *Request {
-	b.Helper()
+func paperRequest(tb testing.TB) *Request {
+	tb.Helper()
 	src := rng.New(42)
 	net, err := topology.Build(topology.Paper(), src.Split("topology"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	weights := make([]float64, len(net.Links))
 	for l := range weights {
@@ -29,7 +29,7 @@ func benchRequest(b *testing.B) *Request {
 
 func benchScheduler(b *testing.B, s Scheduler) {
 	b.Helper()
-	req := benchRequest(b)
+	req := paperRequest(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Schedule(req); err != nil {
@@ -67,3 +67,26 @@ func BenchmarkScheduleExact(b *testing.B) {
 		}
 	}
 }
+
+// TestSequentialFixAllocs gates the allocations of one SequentialFix
+// schedule of the paper-scale request. The LP is built into exact-size
+// slabs with unnamed variables and rows, and the compatibility check
+// reuses one transmission buffer. Naming the LP's variables and rows
+// would add hundreds of allocations; a buffer per check adds nine.
+func TestSequentialFixAllocs(t *testing.T) {
+	req := paperRequest(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := (SequentialFix{}).Schedule(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per schedule", allocs)
+	if allocs > maxSFAllocs {
+		t.Fatalf("SequentialFix.Schedule made %.0f allocations, want at most %d", allocs, maxSFAllocs)
+	}
+}
+
+// maxSFAllocs is TestSequentialFixAllocs' bound: the 120 allocations
+// measured with Go 1.24 on linux/amd64 plus a margin smaller than the nine
+// that a fresh buffer per compatibility check adds on this request.
+const maxSFAllocs = 125
