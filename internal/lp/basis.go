@@ -139,6 +139,7 @@ func newRevisedFromBasis(p *Problem, b *Basis) *revisedEngine {
 	}
 	e.binv = make([][]float64, e.m) // all implicit until refactorize fills them
 	e.cvec = e.cvec[:e.ncol]
+	e.buildRows()
 	if !e.refactorize() {
 		return nil
 	}

@@ -8,38 +8,62 @@ import (
 	"greencell/internal/rng"
 )
 
-// densifyBinv materializes every implicit row of e's basis inverse: the
-// eager m×m layout in which the inverse starts as an explicit identity.
+// densifyBinv materializes every implicit column of e's basis inverse:
+// the eager m×m layout in which the inverse starts as an explicit
+// identity.
 func densifyBinv(e *revisedEngine) {
-	for i := range e.binv {
-		e.binvRow(i)
+	for c, col := range e.binv {
+		if col == nil {
+			e.materialize(c)
+		}
 	}
 }
 
-// inverseRow returns row i of e's basis inverse with an implicit row
-// expanded to the unit row e_i.
-func inverseRow(e *revisedEngine, i int) []float64 {
-	if row := e.binv[i]; row != nil {
-		return row
+// inverseCol returns column c of e's basis inverse with an implicit
+// column expanded to the unit column e_c.
+func inverseCol(e *revisedEngine, c int) []float64 {
+	if col := e.binv[c]; col != nil {
+		return col
 	}
-	row := make([]float64, e.m)
-	row[i] = 1
-	return row
+	col := make([]float64, e.m)
+	col[c] = 1
+	return col
 }
 
-// requireInverse checks B⁻¹·B ≈ I for e's current basis, implicit rows
-// expanded.
+// colDot is the column-wise reference product A_j·v (v indexed by row),
+// summed over column j's entries in their stored (ascending row) order.
+func colDot(e *revisedEngine, j int, v []float64) float64 {
+	col := &e.cols[j]
+	sum := 0.0
+	for k, i := range col.idx {
+		sum += col.val[k] * v[i]
+	}
+	return sum
+}
+
+// requireInverse checks B·B⁻¹ ≈ I for e's current basis, column by
+// column, implicit columns expanded.
 func requireInverse(t *testing.T, e *revisedEngine, label string) {
 	t.Helper()
-	for i := 0; i < e.m; i++ {
-		row := inverseRow(e, i)
+	prod := make([]float64, e.m)
+	for c := 0; c < e.m; c++ {
+		inv := inverseCol(e, c)
+		for i := range prod {
+			prod[i] = 0
+		}
 		for pos, b := range e.basis {
+			col := &e.cols[b]
+			for k, i := range col.idx {
+				prod[i] += col.val[k] * inv[pos]
+			}
+		}
+		for i, got := range prod {
 			want := 0.0
-			if pos == i {
+			if i == c {
 				want = 1
 			}
-			if got := e.colDot(b, row); math.Abs(got-want) > 1e-8 {
-				t.Fatalf("%s: (B⁻¹B)[%d][%d] = %v, want %v", label, i, pos, got, want)
+			if math.Abs(got-want) > 1e-8 {
+				t.Fatalf("%s: (B·B⁻¹)[%d][%d] = %v, want %v", label, i, c, got, want)
 			}
 		}
 	}
@@ -192,7 +216,7 @@ func s1ShapedLP(src *rng.Source, nodes, neighbours, bands int) *Problem {
 // fixPair is the edit of a sequential-fix round: one variable of a
 // [0,1]-boxed LP pinned to 1.
 func fixPair(src *rng.Source, p *Problem) {
-	p.SetVarBounds(VarID(src.Intn(p.NumVars())), 1, 1)
+	p.SetVarBounds(VarID(src.Intn(len(p.vars))), 1, 1)
 }
 
 // exactnessCorpus is the random agreement corpus, edited like the warm
@@ -207,10 +231,11 @@ func exactnessCorpus() []exactCase {
 }
 
 // TestLazyInverseMatchesEager pins the lazy inverse to the eager layout:
-// implicit rows and pivot updates restricted to the pivot row's nonzeros
-// must skip only products with a zero factor, so every solve, cold and
-// warm (primal and dual simplex), is bit-identical to the same solve on an
-// engine whose inverse is fully materialized from the start.
+// implicit columns and eta updates restricted to the nonzeros of dir and
+// of the pivot row must skip only products with a zero factor, so every
+// solve, cold and warm (primal and dual simplex), is bit-identical to the
+// same solve on an engine whose inverse is fully materialized from the
+// start.
 func TestLazyInverseMatchesEager(t *testing.T) {
 	for trial, c := range exactnessCorpus() {
 		lazy, _ := inverseRun(c, false, int64(trial), 6, 0)
@@ -224,7 +249,7 @@ func TestLazyInverseMatchesEager(t *testing.T) {
 	}
 }
 
-// TestLazyInverseAfterEveryPivot checks B⁻¹·B ≈ I, implicit rows
+// TestLazyInverseAfterEveryPivot checks B·B⁻¹ ≈ I, implicit columns
 // expanded, after every iteration of the cold solve and of the first warm
 // re-solve of each corpus LP (the run is replayed with the iteration
 // budget raised one step at a time), and after refactorizing the inverse a
@@ -239,12 +264,18 @@ func TestLazyInverseAfterEveryPivot(t *testing.T) {
 			e.solve()
 			requireInverse(t, e, fmt.Sprintf("trial %d cold iteration %d", trial, k))
 		}
-		// A refactorization makes every row explicit.
+		// A refactorization leaves implicit only columns that are exactly
+		// unit columns (requireInverse checks that they are), and lists
+		// every explicit one.
 		if _, e := inverseRun(c, false, int64(trial), 0, 0); e.refactorize() {
-			for i, row := range e.binv {
-				if row == nil {
-					t.Fatalf("trial %d: row %d implicit after refactorization", trial, i)
+			listed := 0
+			for _, col := range e.binv {
+				if col != nil {
+					listed++
 				}
+			}
+			if listed != len(e.explicit) {
+				t.Fatalf("trial %d: %d explicit columns, %d listed", trial, listed, len(e.explicit))
 			}
 			requireInverse(t, e, fmt.Sprintf("trial %d refactorized", trial))
 		}
@@ -258,23 +289,117 @@ func TestLazyInverseAfterEveryPivot(t *testing.T) {
 	}
 }
 
-// TestColdSolveMaterializesFewRows pins the point of the lazy inverse: a
-// cold solve of an S1-shaped LP writes only the rows its pivots touch, so
-// it materializes fewer than m rows instead of allocating all m².
-func TestColdSolveMaterializesFewRows(t *testing.T) {
+// TestColdSolveMaterializesFewColumns pins the point of the column-wise
+// inverse: each pivot materializes at most the one column of its pivot
+// row, so until the first refactorization a solve holds no more explicit
+// columns than it has pivoted, and a cold solve of an S1-shaped LP ends
+// with fewer than m.
+func TestColdSolveMaterializesFewColumns(t *testing.T) {
+	for trial, c := range exactnessCorpus() {
+		full, _ := inverseRun(c, false, int64(trial), 1, 0)
+		for k := 1; k <= full[0].Iterations; k++ {
+			q := c.p.Clone()
+			q.SetIterationLimit(k)
+			e := newRevised(q)
+			e.solve()
+			listed := 0
+			for _, col := range e.binv {
+				if col != nil {
+					listed++
+				}
+			}
+			if listed != len(e.explicit) {
+				t.Fatalf("trial %d iteration %d: %d explicit columns, %d listed", trial, k, listed, len(e.explicit))
+			}
+			if e.refacWork == nil && len(e.explicit) > e.stalePivots {
+				t.Fatalf("trial %d iteration %d: %d explicit columns after %d pivots", trial, k, len(e.explicit), e.stalePivots)
+			}
+		}
+	}
 	p := s1ShapedLP(rng.New(2), 30, 2, 2)
 	e := newRevised(p)
 	if st := e.solve(); st != Optimal {
 		t.Fatalf("status %v", st)
 	}
-	explicit := 0
-	for _, row := range e.binv {
-		if row != nil {
-			explicit++
+	t.Logf("%d of %d columns materialized after %d iterations", len(e.explicit), e.m, e.iters)
+	if len(e.explicit) >= e.m {
+		t.Fatalf("cold solve materialized %d of %d inverse columns", len(e.explicit), e.m)
+	}
+}
+
+// requireProductsMatch checks the engine's kernels against their
+// reference definitions, bit for bit: rowProducts against colDot for the
+// multipliers and for every row of B⁻¹ (the dual ratio test's ρ),
+// computeY against an ascending-row accumulation of c_B[i]·(row i of
+// B⁻¹), and applyBinv against the dot product of each row of B⁻¹ with
+// A_j.
+func requireProductsMatch(t *testing.T, e *revisedEngine, label string) {
+	t.Helper()
+	same := func(what string, j int, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: %s[%d] = %v (%x), reference %v (%x)", label, what, j, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
-	t.Logf("%d of %d rows materialized after %d iterations", explicit, e.m, e.iters)
-	if explicit >= e.m {
-		t.Fatalf("cold solve materialized %d of %d inverse rows", explicit, e.m)
+	m := e.m
+	inv := make([][]float64, m) // inv[c] is column c, implicit ones expanded
+	for c := range inv {
+		inv[c] = inverseCol(e, c)
+	}
+	e.computeY()
+	for c := 0; c < m; c++ {
+		want := 0.0
+		for i, b := range e.basis {
+			if cb := e.cvec[b]; cb != 0 && inv[c][i] != 0 {
+				want += cb * inv[c][i]
+			}
+		}
+		same("y", c, e.y[c], want)
+	}
+	e.rowProducts(e.y, e.yA)
+	for j := 0; j < e.ncol; j++ {
+		same("A·y", j, e.yA[j], colDot(e, j, e.y))
+	}
+	for r := 0; r < m; r++ {
+		e.binvRowInto(r, e.rho)
+		for c := 0; c < m; c++ {
+			same("ρ", c, e.rho[c], inv[c][r])
+		}
+		e.rowProducts(e.rho, e.rhoA)
+		for j := 0; j < e.ncol; j++ {
+			same("A·ρ", j, e.rhoA[j], colDot(e, j, e.rho))
+		}
+	}
+	row := make([]float64, m)
+	for j := 0; j < e.ncol; j++ {
+		e.applyBinv(j, e.dir)
+		for i := 0; i < m; i++ {
+			for c := range row {
+				row[c] = inv[c][i]
+			}
+			same("B⁻¹A_j", i, e.dir[i], colDot(e, j, row))
+		}
+	}
+}
+
+// TestKernelsMatchReference runs requireProductsMatch after every
+// iteration of each corpus LP's cold solve and of its warm re-solves, so
+// the kernels are checked on slack-basis inverses, on partly and fully
+// explicit ones, and in both phases.
+func TestKernelsMatchReference(t *testing.T) {
+	for trial, c := range exactnessCorpus() {
+		full, _ := inverseRun(c, false, int64(trial), 1, 0)
+		for k := 1; k <= full[0].Iterations; k++ {
+			q := c.p.Clone()
+			q.SetIterationLimit(k)
+			e := newRevised(q)
+			e.solve()
+			requireProductsMatch(t, e, fmt.Sprintf("trial %d cold iteration %d", trial, k))
+		}
+		_, e := inverseRun(c, false, int64(trial), 3, 0)
+		requireProductsMatch(t, e, fmt.Sprintf("trial %d after warm rounds", trial))
+		if e.refactorize() {
+			requireProductsMatch(t, e, fmt.Sprintf("trial %d refactorized", trial))
+		}
 	}
 }

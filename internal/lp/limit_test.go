@@ -71,8 +71,8 @@ func TestIterationBudgetSurvivesCloneAndPresolve(t *testing.T) {
 	p := budgetProblem()
 	p.SetIterationLimit(1)
 	q := p.Clone()
-	if q.IterationLimit() != 1 {
-		t.Fatalf("Clone dropped the iteration limit: got %d", q.IterationLimit())
+	if q.maxIters != 1 {
+		t.Fatalf("Clone dropped the iteration limit: got %d", q.maxIters)
 	}
 	// Pin a variable so presolve builds a reduced problem; the budget must
 	// apply to the reduced solve too.

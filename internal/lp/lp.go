@@ -221,9 +221,6 @@ func (p *Problem) AddVar(name string, lo, hi, cost float64) VarID {
 // Sense returns the objective sense the problem was created with.
 func (p *Problem) Sense() Sense { return p.sense }
 
-// NumVars returns the number of variables added so far.
-func (p *Problem) NumVars() int { return len(p.vars) }
-
 // NumConstraints returns the number of constraints added so far.
 func (p *Problem) NumConstraints() int { return len(p.cons) }
 
@@ -246,9 +243,6 @@ func (p *Problem) SetIterationLimit(n int) {
 	}
 	p.maxIters = n
 }
-
-// IterationLimit returns the configured iteration budget (0 = none).
-func (p *Problem) IterationLimit() int { return p.maxIters }
 
 // SetVarCost replaces the objective coefficient of v.
 func (p *Problem) SetVarCost(v VarID, cost float64) {

@@ -4,10 +4,11 @@ import "math"
 
 // Numerical tolerances for the simplex engine.
 const (
-	priceTol = 1e-9  // reduced-cost tolerance for optimality
-	pivTol   = 1e-9  // smallest acceptable pivot magnitude
-	feasTol  = 1e-7  // phase-1 residual tolerance for feasibility
-	boundEps = 1e-12 // slack when clamping values onto bounds
+	priceTol  = 1e-9    // reduced-cost tolerance for optimality
+	pivTol    = 1e-9    // smallest acceptable pivot magnitude
+	relPivTol = 0x1p-52 // smallest primal pivot relative to its column (ratioTol)
+	feasTol   = 1e-7    // phase-1 residual tolerance for feasibility
+	boundEps  = 1e-12   // slack when clamping values onto bounds
 )
 
 // priceScaleFloor sets the smallest pricing denominator relative to the
@@ -24,13 +25,16 @@ const (
 
 // revisedEngine is the simplex implementation behind every solve: a
 // bounded-variable revised simplex with an explicitly maintained basis
-// inverse (refactorized periodically) over column-sparse constraint
-// storage. Pricing is O(nnz) per iteration. The inverse is held by rows
-// that start implicit (unit rows) and become dense arrays on first write,
-// and a pivot updates each row the entering column touches only where the
-// pivot row is nonzero, so a pivot costs the nonzeros it combines rather
-// than m². The test suite cross-validates it against a dense full-tableau
-// reference on thousands of random LPs.
+// inverse (refactorized periodically) over sparse constraint storage. The
+// inverse is held by columns that start implicit (unit columns): a pivot
+// multiplies B⁻¹ by an eta matrix that differs from I only in column
+// leave, so from the slack basis column c stays e_c until row c becomes a
+// pivot row, and a cold solve of k pivots holds at most k explicit
+// columns. Pricing scatters the rows of A where the multipliers are
+// nonzero (in phase 2, only the explicit columns' rows), so an iteration
+// costs the nonzeros it multiplies rather than all of A. The test suite
+// cross-validates the engine against a dense full-tableau reference on
+// thousands of random LPs.
 type revisedEngine struct {
 	m    int // rows
 	n    int // structural columns
@@ -38,14 +42,21 @@ type revisedEngine struct {
 
 	// cols[j] is column j of the setup matrix A in sparse form.
 	cols []sparseCol
-	// binv is the basis inverse B^{-1} by rows. A nil row is the unit row
-	// e_i: rows start implicit and are materialized by binvRow on first
-	// write, and every reader treats a nil row as e_i.
-	binv [][]float64
-	// rowSlab is zeroed room for rows yet to be materialized, carved by
-	// takeRow; explicit counts the rows of binv that are not nil.
-	rowSlab  []float64
-	explicit int
+	// rowStart, rowCol and rowVal hold the final setup matrix (after
+	// equilibration and row flips, artificials included) by rows: row r's
+	// entries are rowCol/rowVal[rowStart[r]:rowStart[r+1]], columns
+	// ascending. Pricing scatters over them (rowProducts).
+	rowStart []int
+	rowCol   []int
+	rowVal   []float64
+	// binv is the basis inverse B^{-1} by columns. A nil column is the unit
+	// column e_c: columns start implicit and are materialized by
+	// materialize on first write, and every reader treats a nil column as
+	// e_c. explicit lists the columns that are not nil.
+	binv     [][]float64
+	explicit []int
+	// colSlab is zeroed room for columns yet to be materialized.
+	colSlab []float64
 	// cost is the phase-2 objective (sense-adjusted to minimize).
 	cost []float64
 
@@ -90,8 +101,12 @@ type revisedEngine struct {
 
 	// Scratch buffers reused across iterations.
 	y         []float64   // simplex multipliers
+	yA        []float64   // A_j·y for every column j
+	rho       []float64   // a gathered row of B^{-1} (dual ratio test)
+	rhoA      []float64   // A_j·rho for every column j
+	costRows  []int       // rows whose basic variable has a nonzero cost
 	dir       []float64   // B^{-1} A_q
-	pivNZ     []int       // nonzero columns of the scaled pivot row
+	pivNZ     []int       // nonzero entries of dir, or of a Gauss-Jordan pivot row
 	cvec      []float64   // active-phase cost vector
 	resid     []float64   // rhs residual for recomputeXB
 	refacWork [][]float64 // m×2m Gauss-Jordan workspace for refactorize
@@ -121,7 +136,9 @@ func (c *sparseCol) add(row int, v float64) {
 // Every float and int array the engine and its constructors use is carved
 // from one float slab and one int slab, sized up front: ncap = n+2m bounds
 // structural, slack, and artificial columns together, so addCol's appends
-// stay within each array's carved capacity.
+// stay within each array's carved capacity, and total+m bounds the entries
+// of the final setup matrix (artificials add at most one per row), so the
+// row copy buildRows fills fits its carved arrays.
 func newEngineShell(p *Problem) (e *revisedEngine, slackOf []int) {
 	m := len(p.cons)
 	n := len(p.vars)
@@ -136,8 +153,8 @@ func newEngineShell(p *Problem) (e *revisedEngine, slackOf []int) {
 			total++
 		}
 	}
-	fs := make([]float64, total+8*m+5*ncap)
-	is := make([]int, total+3*n+3*m)
+	fs := make([]float64, 2*total+10*m+7*ncap)
+	is := make([]int, 2*total+3*n+8*m+1)
 	takeF := func(k int) []float64 {
 		s := fs[:k:k]
 		fs = fs[k:]
@@ -152,21 +169,29 @@ func newEngineShell(p *Problem) (e *revisedEngine, slackOf []int) {
 
 	e = &revisedEngine{
 		m: m, n: n,
-		limit:   p.maxIters,
-		rowMult: takeF(m),
-		bvec:    takeF(m),
-		xB:      takeF(m),
-		y:       takeF(m),
-		dir:     takeF(m),
-		resid:   takeF(m),
-		lo:      takeF(ncap)[:n],
-		hi:      takeF(ncap)[:n],
-		cost:    takeF(ncap)[:n],
-		xval:    takeF(ncap)[:n],
-		cvec:    takeF(ncap),
-		basis:   takeI(m),
-		pivNZ:   takeI(m)[:0],
-		status:  make([]colStatus, n, ncap),
+		limit:    p.maxIters,
+		rowMult:  takeF(m),
+		bvec:     takeF(m),
+		xB:       takeF(m),
+		y:        takeF(m),
+		rho:      takeF(m),
+		dir:      takeF(m),
+		resid:    takeF(m),
+		lo:       takeF(ncap)[:n],
+		hi:       takeF(ncap)[:n],
+		cost:     takeF(ncap)[:n],
+		xval:     takeF(ncap)[:n],
+		cvec:     takeF(ncap),
+		yA:       takeF(ncap),
+		rhoA:     takeF(ncap),
+		rowVal:   takeF(total + m)[:0],
+		basis:    takeI(m),
+		pivNZ:    takeI(2 * m)[:0],
+		costRows: takeI(m)[:0],
+		explicit: takeI(m)[:0],
+		rowStart: takeI(m + 1),
+		rowCol:   takeI(total + m)[:0],
+		status:   make([]colStatus, n, ncap),
 	}
 	for i := range e.rowMult {
 		e.rowMult[i] = 1
@@ -382,107 +407,157 @@ func newRevised(p *Problem) *revisedEngine {
 
 	// Identity basis inverse: after the row flips every initial basic
 	// column (slack or artificial) carries +1 on its own row, so B = I,
-	// every row implicit.
+	// every column implicit.
 	e.binv = make([][]float64, m)
 
 	e.cvec = e.cvec[:e.ncol]
+	e.buildRows()
 	e.syncJournal(p) // built from p's current state: pending edits covered
 	return e
 }
 
-// colDot returns column j dotted with vector v (v indexed by row).
-func (e *revisedEngine) colDot(j int, v []float64) float64 {
-	col := &e.cols[j]
-	sum := 0.0
-	for k, i := range col.idx {
-		sum += col.val[k] * v[i]
+// buildRows fills the row copy of the final setup matrix. Columns are
+// visited in ascending order, so each row lists its columns ascending.
+func (e *revisedEngine) buildRows() {
+	start := e.rowStart
+	for j := 0; j < e.ncol; j++ {
+		for _, i := range e.cols[j].idx {
+			start[i+1]++
+		}
 	}
-	return sum
+	for i := 0; i < e.m; i++ {
+		start[i+1] += start[i]
+	}
+	nnz := start[e.m]
+	e.rowCol, e.rowVal = e.rowCol[:nnz], e.rowVal[:nnz]
+	next := e.costRows[:e.m] // computeY's scratch, free until the first solve
+	copy(next, start)
+	for j := 0; j < e.ncol; j++ {
+		col := &e.cols[j]
+		for k, i := range col.idx {
+			e.rowCol[next[i]], e.rowVal[next[i]] = j, col.val[k]
+			next[i]++
+		}
+	}
 }
 
-// binvRow returns row i of B^{-1}, materializing the implicit unit row e_i
-// on first use.
-func (e *revisedEngine) binvRow(i int) []float64 {
-	row := e.binv[i]
-	if row == nil {
-		row = e.takeRow()
-		row[i] = 1
-		e.binv[i] = row
+// rowProducts sets out[j] = A_j·v for every column j by scattering the
+// rows r with v[r] ≠ 0, in ascending r. Column j thus receives its
+// products in the order of its own (ascending) entries, the order a
+// column-by-column dot product sums them in, and a skipped row adds only
+// an exact zero to a sum that starts at +0: out[j] is bit-identical to
+// that dot product, at the cost of the rows v touches instead of all of A.
+func (e *revisedEngine) rowProducts(v, out []float64) {
+	out = out[:e.ncol]
+	for j := range out {
+		out[j] = 0
 	}
-	return row
-}
-
-// rowChunkBytes bounds one refill of rowSlab: 32 KiB, the largest size
-// class of the runtime's small-object allocator.
-const rowChunkBytes = 32 << 10
-
-// takeRow carves one zeroed m-wide row from rowSlab and counts it
-// explicit. An exhausted slab is refilled with as many rows as fit in
-// rowChunkBytes (at least one), but never more than are still implicit.
-// A solve that materializes k rows thus allocates about k/chunk slabs and
-// at most one chunk of rows it never uses; slabs that grew with the row
-// count instead left about a third of their rows unused at paper scale.
-func (e *revisedEngine) takeRow() []float64 {
-	m := e.m
-	if len(e.rowSlab) < m {
-		e.rowSlab = make([]float64, min(max(rowChunkBytes/(8*m), 1), m-e.explicit)*m)
-	}
-	row := e.rowSlab[:m:m]
-	e.rowSlab = e.rowSlab[m:]
-	e.explicit++
-	return row
-}
-
-// applyBinv computes dst = B^{-1} A_j, walking binv row by row so the
-// traversal is cache-contiguous (the column-major order touches m cache
-// lines per sparse entry and dominated warm-solve profiles).
-func (e *revisedEngine) applyBinv(j int, dst []float64) {
-	col := &e.cols[j]
-	idx, val := col.idx, col.val
-	for i, row := range e.binv {
-		if row == nil {
-			dst[i] = 0
+	for r, vr := range v {
+		if vr == 0 {
 			continue
 		}
-		s := 0.0
-		for k, r := range idx {
-			s += row[r] * val[k]
-		}
-		dst[i] = s
-	}
-	// An implicit row e_i picks A_j's entry on row i; a column holds at
-	// most one entry per row.
-	for k, r := range idx {
-		if e.binv[r] == nil {
-			dst[r] = val[k]
+		lo, hi := e.rowStart[r], e.rowStart[r+1]
+		vals := e.rowVal[lo:hi]
+		for k, j := range e.rowCol[lo:hi] {
+			out[j] += vals[k] * vr
 		}
 	}
 }
 
-// pivotBinv applies the row operations that turn dir = B^{-1}A_q into
-// e_leave: the pivot row is scaled by 1/dir[leave], and every other row
-// with dir[i] ≠ 0 subtracts dir[i] times it. The scaled pivot row's
-// nonzero columns are collected once, so each update touches only those —
-// the same operations, in the same order, as a dense sweep that skips the
-// pivot row's zeros.
+// materialize makes column c of B^{-1} explicit as the unit column e_c
+// and returns it.
+func (e *revisedEngine) materialize(c int) []float64 {
+	col := e.takeCol()
+	col[c] = 1
+	e.binv[c] = col
+	e.explicit = append(e.explicit, c)
+	return col
+}
+
+// colChunkBytes bounds one refill of colSlab: 32 KiB, the largest size
+// class of the runtime's small-object allocator.
+const colChunkBytes = 32 << 10
+
+// takeCol carves one zeroed m-long column from colSlab. An exhausted slab
+// is refilled with as many columns as fit in colChunkBytes (at least one),
+// but never more than are still implicit. A solve that materializes k
+// columns thus allocates about k/chunk slabs and at most one chunk of
+// columns it never uses.
+func (e *revisedEngine) takeCol() []float64 {
+	m := e.m
+	if len(e.colSlab) < m {
+		e.colSlab = make([]float64, min(max(colChunkBytes/(8*m), 1), m-len(e.explicit))*m)
+	}
+	col := e.colSlab[:m:m]
+	e.colSlab = e.colSlab[m:]
+	return col
+}
+
+// applyBinv computes dst = B^{-1} A_j as the sum of the inverse's columns
+// at A_j's rows, weighted by A_j's entries: one axpy per entry on an
+// explicit column, one add per entry on an implicit one. Each dst[i]
+// sums its products in the order of A_j's entries, the order of a dot
+// product of row i of B^{-1} with A_j.
+func (e *revisedEngine) applyBinv(j int, dst []float64) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	col := &e.cols[j]
+	for k, r := range col.idx {
+		v := col.val[k]
+		b := e.binv[r]
+		if b == nil {
+			dst[r] += v // the unit column e_r
+			continue
+		}
+		for i, x := range b {
+			dst[i] += x * v
+		}
+	}
+}
+
+// pivotBinv applies the eta update that turns dir = B^{-1}A_q into
+// e_leave: row leave of B^{-1} is scaled by 1/dir[leave], and every other
+// row with dir[i] ≠ 0 subtracts dir[i] times it. An implicit column c ≠
+// leave has a zero in row leave, so the update leaves it e_c; only column
+// leave is materialized. dir's nonzero rows are collected once, and a
+// column whose scaled pivot entry is zero is skipped: the same operations,
+// in the same order, as a dense sweep that skips the pivot row's zeros.
 func (e *revisedEngine) pivotBinv(leave int) {
 	inv := 1 / e.dir[leave]
-	rowL := e.binvRow(leave)
 	nz := e.pivNZ[:0]
-	for c := range rowL {
-		rowL[c] *= inv
-		if rowL[c] != 0 {
-			nz = append(nz, c)
+	for i, f := range e.dir {
+		if i != leave && f != 0 {
+			nz = append(nz, i)
 		}
 	}
 	e.pivNZ = nz
-	for i, f := range e.dir {
-		if i == leave || f == 0 {
+	if e.binv[leave] == nil {
+		e.materialize(leave)
+	}
+	for _, c := range e.explicit {
+		col := e.binv[c]
+		v := col[leave] * inv
+		col[leave] = v
+		if v == 0 {
 			continue
 		}
-		row := e.binvRow(i)
-		for _, c := range nz {
-			row[c] -= f * rowL[c]
+		for _, i := range nz {
+			col[i] -= e.dir[i] * v
+		}
+	}
+}
+
+// binvRowInto gathers row r of B^{-1} into dst.
+func (e *revisedEngine) binvRowInto(r int, dst []float64) {
+	for c, col := range e.binv {
+		switch {
+		case col != nil:
+			dst[c] = col[r]
+		case c == r:
+			dst[c] = 1 // the unit column e_r
+		default:
+			dst[c] = 0
 		}
 	}
 }
@@ -557,6 +632,7 @@ func (e *revisedEngine) iterate() Status {
 			pivots++ // avoid refactorizing repeatedly on bound-flip loops
 		}
 		e.computeY()
+		e.rowProducts(e.y, e.yA)
 		// Price and choose entering. Reduced costs are recomputed from y
 		// every iteration, so the optimality test must be RELATIVE to the
 		// magnitudes involved — with 1e7-scale objective coefficients the
@@ -569,8 +645,11 @@ func (e *revisedEngine) iterate() Status {
 			if e.status[j] == basic || e.hi[j]-e.lo[j] <= boundEps {
 				continue
 			}
-			dot := e.colDot(j, e.y)
+			dot := e.yA[j]
 			dj := e.cvec[j] - dot
+			if dj == 0 {
+				continue // scores 0, never above priceTol
+			}
 			denom := math.Max(1+math.Abs(e.cvec[j])+math.Abs(dot), floor)
 			var score float64
 			if e.status[j] == atLower {
@@ -613,6 +692,7 @@ func (e *revisedEngine) iterate() Status {
 			sigma = -1.0
 		}
 		e.applyBinv(q, e.dir)
+		tol := e.ratioTol()
 
 		limit := math.Inf(1)
 		if !math.IsInf(e.hi[q], 1) {
@@ -623,7 +703,7 @@ func (e *revisedEngine) iterate() Status {
 		for i := 0; i < e.m; i++ {
 			a := sigma * e.dir[i]
 			b := e.basis[i]
-			if a > pivTol {
+			if a > tol {
 				room := e.xB[i] - e.lo[b]
 				if room < 0 {
 					room = 0
@@ -636,7 +716,7 @@ func (e *revisedEngine) iterate() Status {
 					leave = i
 					leaveToUpper = false
 				}
-			} else if a < -pivTol {
+			} else if a < -tol {
 				if math.IsInf(e.hi[b], 1) {
 					continue
 				}
@@ -700,27 +780,50 @@ func (e *revisedEngine) iterate() Status {
 	return IterationLimit
 }
 
-// computeY fills e.y with the simplex multipliers y = c_B^T B^{-1} under
-// the active-phase cost vector.
-func (e *revisedEngine) computeY() {
-	for i := range e.y {
-		e.y[i] = 0
+// ratioTol is the smallest |dir[i]| the primal ratio test accepts as a
+// pivot: pivTol, or relPivTol (the float64 machine epsilon) times the
+// largest |dir[i]| when that is larger. An entry below the rounding
+// noise of its own column can pass the absolute test (a 1.6e-9 entry in a
+// column whose largest is 2.3e8), but pivoting on it leaves B numerically
+// singular: every later refactorization fails and the solve can cycle to
+// the safety cap.
+func (e *revisedEngine) ratioTol() float64 {
+	mx := 0.0
+	for _, d := range e.dir {
+		if a := math.Abs(d); a > mx {
+			mx = a
+		}
 	}
+	return math.Max(pivTol, relPivTol*mx)
+}
+
+// computeY fills e.y with the simplex multipliers y = c_B^T B^{-1} under
+// the active-phase cost vector: one dot product over the rows with a
+// nonzero basic cost per explicit column, and y[c] = c_B[c] on an implicit
+// column e_c. Each y[c] sums its products in ascending row order, as a
+// row-by-row accumulation of c_B[i]·(row i of B^{-1}) would.
+func (e *revisedEngine) computeY() {
+	rows := e.costRows[:0]
 	for i, b := range e.basis {
-		cb := e.cvec[b]
-		if cb == 0 {
-			continue
+		if e.cvec[b] != 0 {
+			rows = append(rows, i)
 		}
-		row := e.binv[i]
-		if row == nil {
-			e.y[i] += cb // the unit row e_i
-			continue
-		}
-		for r := 0; r < e.m; r++ {
-			if row[r] != 0 {
-				e.y[r] += cb * row[r]
+	}
+	e.costRows = rows
+	for c, col := range e.binv {
+		if col == nil {
+			y := 0.0 // a zero cost of either sign contributes nothing
+			if cb := e.cvec[e.basis[c]]; cb != 0 {
+				y = cb
 			}
+			e.y[c] = y
+			continue
 		}
+		y := 0.0
+		for _, i := range rows {
+			y += e.cvec[e.basis[i]] * col[i]
+		}
+		e.y[c] = y
 	}
 }
 
@@ -766,39 +869,68 @@ func (e *revisedEngine) refactorize() bool {
 			return false
 		}
 		work[colIdx], work[piv] = work[piv], work[colIdx]
-		inv := 1 / work[colIdx][colIdx]
-		for k := 0; k < 2*m; k++ {
-			work[colIdx][k] *= inv
+		pr := work[colIdx]
+		inv := 1 / pr[colIdx]
+		// The scaled pivot row's nonzero columns are collected once, and
+		// the other rows are updated only there: subtracting f times a zero
+		// changes at most the sign of a zero.
+		nz := e.pivNZ[:0]
+		for k := range pr {
+			pr[k] *= inv
+			if pr[k] != 0 {
+				nz = append(nz, k)
+			}
 		}
+		e.pivNZ = nz
 		for r := 0; r < m; r++ {
 			if r == colIdx {
 				continue
 			}
-			f := work[r][colIdx]
+			row := work[r]
+			f := row[colIdx]
 			if f == 0 {
 				continue
 			}
-			for k := 0; k < 2*m; k++ {
-				work[r][k] -= f * work[colIdx][k]
+			for _, k := range nz {
+				row[k] -= f * pr[k]
 			}
 		}
 	}
-	// Every row is explicit after a factorization.
-	for i := 0; i < m; i++ {
-		if e.binv[i] == nil {
-			e.binv[i] = e.takeRow()
+	// Copy the inverse into columns. An implicit column that came out
+	// exactly e_c stays implicit: that is the usual result for a position
+	// whose own row's slack is still basic there, so a factorization costs
+	// no more columns than the pivots before it materialized.
+	for c := 0; c < m; c++ {
+		col := e.binv[c]
+		if col == nil {
+			if unitColumn(work, m+c, c) {
+				continue
+			}
+			col = e.materialize(c)
 		}
-		copy(e.binv[i], work[i][m:])
+		for i := range col {
+			col[i] = work[i][m+c]
+		}
 	}
 	e.recomputeXB()
 	e.stalePivots = 0
 	return true
 }
 
+// unitColumn reports whether column k of the row-major work holds exactly
+// the unit vector e_c (a zero of either sign off row c).
+func unitColumn(work [][]float64, k, c int) bool {
+	for i, row := range work {
+		if v := row[k]; i == c && v != 1 || i != c && v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // recomputeXB recomputes the basic values xB = B^{-1}(b − Σ_nonbasic A_j x_j)
 // under the current basis inverse and nonbasic placements.
 func (e *revisedEngine) recomputeXB() {
-	m := e.m
 	e.staleRefreshes = 0
 	resid := e.resid
 	copy(resid, e.bvec)
@@ -811,18 +943,23 @@ func (e *revisedEngine) recomputeXB() {
 			resid[r] -= col.val[k] * e.xval[j]
 		}
 	}
-	for i, row := range e.binv {
-		sum := 0.0
-		if row == nil {
-			sum += resid[i] // the unit row e_i
-		} else {
-			for r := 0; r < m; r++ {
-				if row[r] != 0 {
-					sum += row[r] * resid[r]
-				}
-			}
+	// xB accumulates the inverse's columns in ascending order, so each
+	// xB[i] sums its products in the order of row i of B^{-1}.
+	for i := range e.xB {
+		e.xB[i] = 0
+	}
+	for c, col := range e.binv {
+		rc := resid[c]
+		if rc == 0 {
+			continue
 		}
-		e.xB[i] = sum
+		if col == nil {
+			e.xB[c] += rc // the unit column e_c
+			continue
+		}
+		for i, v := range col {
+			e.xB[i] += v * rc
+		}
 	}
 }
 
@@ -966,12 +1103,13 @@ func (e *revisedEngine) applyJournal(p *Problem) {
 				continue
 			}
 			e.bvec[i] = nb
-			for r, row := range e.binv {
-				if row == nil {
-					if r == i {
-						e.xB[r] += d // the unit row e_r
-					}
-				} else if v := row[i]; v != 0 {
+			col := e.binv[i]
+			if col == nil {
+				e.xB[i] += d // the unit column e_i
+				continue
+			}
+			for r, v := range col {
+				if v != 0 {
 					e.xB[r] += v * d
 				}
 			}
@@ -1034,12 +1172,13 @@ func (e *revisedEngine) primalFeasible() bool {
 // precondition for re-solving with dual simplex after RHS or bound edits.
 func (e *revisedEngine) dualFeasible() bool {
 	e.computeY()
+	e.rowProducts(e.y, e.yA)
 	floor := e.priceFloor()
 	for j := 0; j < e.ncol; j++ {
 		if e.status[j] == basic || e.hi[j]-e.lo[j] <= boundEps {
 			continue
 		}
-		dot := e.colDot(j, e.y)
+		dot := e.yA[j]
 		dj := e.cvec[j] - dot
 		denom := math.Max(1+math.Abs(e.cvec[j])+math.Abs(dot), floor)
 		if e.status[j] == atLower {
@@ -1132,8 +1271,10 @@ func (e *revisedEngine) dualIterate() Status {
 		// Dual ratio test over row r of B^{-1}A: eligible entering columns
 		// are those whose step direction both respects their own bound and
 		// keeps the leaving variable's new reduced cost on the right side.
-		rho := e.binvRow(r)
+		e.binvRowInto(r, e.rho)
+		e.rowProducts(e.rho, e.rhoA)
 		e.computeY()
+		e.rowProducts(e.y, e.yA)
 		q := -1
 		bestRatio := math.Inf(1)
 		bestAlpha := 0.0
@@ -1141,7 +1282,7 @@ func (e *revisedEngine) dualIterate() Status {
 			if e.status[j] == basic || e.hi[j]-e.lo[j] <= boundEps {
 				continue
 			}
-			alpha := e.colDot(j, rho)
+			alpha := e.rhoA[j]
 			if math.Abs(alpha) <= pivTol {
 				continue
 			}
@@ -1161,8 +1302,7 @@ func (e *revisedEngine) dualIterate() Status {
 				}
 				continue
 			}
-			dot := e.colDot(j, e.y)
-			dj := e.cvec[j] - dot
+			dj := e.cvec[j] - e.yA[j]
 			ratio := math.Abs(dj) / math.Abs(alpha)
 			if ratio < bestRatio-boundEps ||
 				(ratio < bestRatio+boundEps && math.Abs(alpha) > math.Abs(bestAlpha)) {
@@ -1249,24 +1389,7 @@ func (e *revisedEngine) structuralValues() []float64 {
 // duals reads the simplex multipliers directly from y at optimality,
 // mapped back through the row equilibration and flips.
 func (e *revisedEngine) duals(sign float64) []float64 {
-	// Recompute y for the final basis under phase-2 costs.
-	for i := range e.y {
-		e.y[i] = 0
-	}
-	for i, b := range e.basis {
-		cb := e.cvec[b]
-		if cb == 0 {
-			continue
-		}
-		row := e.binv[i]
-		if row == nil {
-			e.y[i] += cb // the unit row e_i
-			continue
-		}
-		for r := 0; r < e.m; r++ {
-			e.y[r] += cb * row[r]
-		}
-	}
+	e.computeY() // y for the final basis under phase-2 costs
 	out := make([]float64, e.m)
 	for i := 0; i < e.m; i++ {
 		out[i] = sign * e.y[i] * e.rowMult[i]

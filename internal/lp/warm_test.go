@@ -16,7 +16,7 @@ func mutateForWarm(src *rng.Source, p *Problem) {
 			p.SetConstraintRHS(i, p.ConstraintRHS(i)+src.Uniform(-0.5, 0.5))
 		}
 	}
-	for j := 0; j < p.NumVars(); j++ {
+	for j := 0; j < len(p.vars); j++ {
 		if src.Bernoulli(0.3) {
 			lo, hi := p.VarBounds(VarID(j))
 			lo += src.Uniform(-0.3, 0.3)
@@ -254,7 +254,7 @@ func TestWarm100SlotsNeverDiverges(t *testing.T) {
 		for i := 0; i < p.NumConstraints(); i++ {
 			p.SetConstraintRHS(i, p.ConstraintRHS(i)+src.Uniform(-0.2, 0.2))
 		}
-		for j := 0; j < p.NumVars(); j++ {
+		for j := 0; j < len(p.vars); j++ {
 			if src.Bernoulli(0.2) {
 				lo, hi := p.VarBounds(VarID(j))
 				w := hi - lo

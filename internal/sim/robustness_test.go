@@ -335,3 +335,27 @@ func TestSeedMetricsRoundTrip(t *testing.T) {
 			folded.DegradedSlots, rr.DegradedSlots)
 	}
 }
+
+// TestNearSingularPivotDoesNotStall replays the scenario seed whose slot
+// 13 S1 LP once pivoted on an entry below the rounding noise of its
+// column (1.6e-9 against 2.3e8): the basis went singular, every later
+// refactorization failed, and the solve cycled to the engine's safety cap
+// (119,400 iterations, 16 s) and degraded the slot. The primal ratio test
+// now rejects such pivots and the slot solves in a few dozen iterations.
+// The iteration budget only keeps a regression fast to detect: it turns
+// the stall into an s1_iterlimit degradation after 4000 iterations.
+func TestNearSingularPivotDoesNotStall(t *testing.T) {
+	sc, err := ScenarioSpec{Preset: "paper", Scheduler: "sf", Slots: 25, Seed: 11000349}.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.KeepTraces = false
+	sc.Budget.MaxLPIterations = 4000
+	res, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DegradedSlots != 0 {
+		t.Fatalf("DegradedSlots = %d, want 0 (causes: %v)", res.DegradedSlots, res.DegradedByCause)
+	}
+}
