@@ -9,9 +9,10 @@
 # firing at an elevated rate, per-slot invariants on, under the race
 # detector — the serve and cluster smokes (docs/SERVER.md,
 # docs/CLUSTER.md), bench-json, the benchmark trajectory gate
-# (docs/PERFORMANCE.md), validate, the reproduction certificate, and
-# figures-check, which holds the committed out/ figures and report to
-# what the code writes.
+# (docs/PERFORMANCE.md), bench-smoke, the repository benchmark's own
+# output check on every workload (perfbench/README.md), validate, the
+# reproduction certificate, and figures-check, which holds the committed
+# out/ figures and report to what the code writes.
 
 GO ?= go
 FUZZTIME ?= 15s
@@ -20,11 +21,11 @@ FUZZTIME ?= 15s
 # driver's -analyzers selection path; must match analysis.All().
 ANALYZERS = norawrand,nofloateq,droppederr,unguardedgo,unitmix,mapiter,wallclock,detflow,locksafe,hotalloc,resleak,ctxflow,errcmp
 
-.PHONY: check ci build vet perfbench-check lint lint-audit lint-sarif test race fuzz soak bench bench-json fmt fmtcheck units-check dist-check serve-smoke cluster-smoke validate figures figures-check clean
+.PHONY: check ci build vet perfbench-check lint lint-audit lint-sarif test race fuzz soak bench bench-json bench-smoke fmt fmtcheck units-check dist-check serve-smoke cluster-smoke validate figures figures-check clean
 
 check: build vet lint race perfbench-check
 
-ci: fmtcheck check lint-audit lint-sarif units-check dist-check fuzz soak serve-smoke cluster-smoke bench-json validate figures-check
+ci: fmtcheck check lint-audit lint-sarif units-check dist-check fuzz soak serve-smoke cluster-smoke bench-json bench-smoke validate figures-check
 
 build:
 	$(GO) build ./...
@@ -75,6 +76,24 @@ bench:
 #   go run ./cmd/benchtrend -label <point-label>
 bench-json:
 	$(GO) run ./cmd/benchtrend -check
+
+# Benchmark correctness smoke: runs every BENCHMARK.json workload for one
+# second, traced, through the script the benchmark itself runs. Each run
+# still completes its fixed prefix of runs or jobs, and its last line
+# must report "correct":true: no degraded slot, no unserved energy, no
+# run error, a rerun with invariants on that matches the timed run, and
+# exact counters that repeat. Builds into .bench_build/.
+BENCH_WORKLOADS = paper-sf rural-s4 dist-dup fleet-mix
+
+bench-smoke:
+	@set -e; for w in $(BENCH_WORKLOADS); do \
+		out="$$(bash perfbench/run.sh --workload $$w --seconds 1 --trace 1)" || \
+			{ printf '%s\n' "$$out" | tail -n 20; echo "bench-smoke: $$w failed"; exit 1; }; \
+		case "$$(printf '%s\n' "$$out" | tail -n 1)" in \
+		*'"correct":true'*) echo "bench-smoke: $$w correct" ;; \
+		*) printf '%s\n' "$$out" | tail -n 20; echo "bench-smoke: $$w is not correct"; exit 1 ;; \
+		esac; \
+	done
 
 fmt:
 	gofmt -l -w .

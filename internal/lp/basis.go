@@ -97,7 +97,7 @@ func (e *revisedEngine) exportBasis(sig uint64) *Basis {
 // the snapshot does not fit p's column layout or its basis matrix is
 // singular under p's coefficients; callers fall back to a cold solve.
 func newRevisedFromBasis(p *Problem, b *Basis) *revisedEngine {
-	e, _ := newEngineShell(p)
+	e := newEngineShell(p)
 	e.ncol = len(e.status)
 	e.artStart = e.ncol
 	if len(b.status) != e.ncol || len(b.rowBasic) != e.m {
@@ -139,7 +139,6 @@ func newRevisedFromBasis(p *Problem, b *Basis) *revisedEngine {
 	}
 	e.binv = make([][]float64, e.m) // all implicit until refactorize fills them
 	e.cvec = e.cvec[:e.ncol]
-	e.buildRows()
 	if !e.refactorize() {
 		return nil
 	}

@@ -6,8 +6,7 @@ import (
 	"greencell/internal/lp"
 )
 
-// Example solves a two-variable production problem and reads the optimum
-// and a shadow price.
+// Example solves a two-variable production problem and reads the optimum.
 func Example() {
 	p := lp.NewProblem(lp.Maximize)
 	x := p.AddVar("x", 0, 40, 3) // product 1
@@ -22,10 +21,8 @@ func Example() {
 	fmt.Println("status:", sol.Status)
 	fmt.Println("objective:", sol.Objective)
 	fmt.Println("x:", sol.Value(x), "y:", sol.Value(y))
-	fmt.Println("hours shadow price:", sol.Dual(0))
 	// Output:
 	// status: optimal
 	// objective: 195
 	// x: 15 y: 30
-	// hours shadow price: 1.5
 }

@@ -50,6 +50,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 )
 
 // Sense selects minimization or maximization of the objective.
@@ -162,6 +164,12 @@ type Problem struct {
 	// AddConstraint carves each row from its tail, capped at the row's
 	// length so appending to one row cannot overwrite the next.
 	slab []Term
+	// pos[v] is the position in its row at which AddConstraint last stored
+	// variable v, the index by which it merges a repeated variable.
+	pos []int32
+	// reserved counts the terms Grow announced that AddConstraint has not
+	// received yet: a fresh slab is sized to it instead of doubling.
+	reserved int
 	// checked counts the leading constraints whose terms and right-hand
 	// sides validateForSolve has accepted. Terms never change after
 	// AddConstraint and variables are never removed, so a solve re-checks
@@ -271,31 +279,83 @@ func (p *Problem) VarBounds(v VarID) (lo, hi float64) {
 }
 
 // AddConstraint adds the row "sum(terms) rel rhs". Duplicate variables in
-// terms are summed. Rows with no terms are allowed and checked for
-// consistency at solve time. The terms are copied: the caller may reuse
-// its slice at once.
+// terms are summed, in order of appearance, into the position of their
+// first occurrence, so every stored row lists each variable once. Rows
+// with no terms are allowed and checked for consistency at solve time. The
+// terms are copied: the caller may reuse its slice at once.
 func (p *Problem) AddConstraint(name string, rel Rel, rhs float64, terms ...Term) {
 	p.mutsFull = true // structural edit: no incremental refresh across it
 	p.muts = p.muts[:0]
 	if cap(p.slab)-len(p.slab) < len(terms) {
-		// A fresh slab, double the last up to maxSlab terms: rows already
-		// added keep the old one, so nothing is copied.
-		p.slab = make([]Term, 0, max(min(2*cap(p.slab), maxSlab), len(terms), minSlab))
+		// A fresh slab, sized to the terms Grow announced or else double
+		// the last, up to maxSlab terms: rows already added keep the old
+		// one, so nothing is copied.
+		size := max(min(2*cap(p.slab), maxSlab), minSlab)
+		if p.reserved > 0 {
+			size = min(p.reserved, maxSlab)
+		}
+		p.slab = make([]Term, 0, max(size, len(terms)))
+	}
+	p.reserved = max(p.reserved-len(terms), 0)
+	if n := len(p.vars); len(p.pos) < n {
+		p.pos = slices.Grow(p.pos, n-len(p.pos))[:n]
 	}
 	start := len(p.slab)
-	p.slab = append(p.slab, terms...)
-	row := p.slab[start:len(p.slab):len(p.slab)]
-	p.cons = append(p.cons, constraint{name: name, rel: rel, rhs: rhs, terms: row})
+	row := p.slab[start : start+len(terms)]
+	k := 0
+	for _, t := range terms {
+		// pos[v] is where v was last stored in some row: a duplicate only
+		// if this row holds v there. A variable the problem does not have
+		// yet is searched for (validateForSolve rejects it unless AddVar
+		// adds it before the solve).
+		if v := int(t.Var); v >= 0 && v < len(p.pos) {
+			if i := int(p.pos[v]); i < k && row[i].Var == t.Var {
+				row[i].Coef += t.Coef
+				continue
+			}
+			p.pos[v] = int32(k)
+		} else if i := termIndex(row[:k], t.Var); i >= 0 {
+			row[i].Coef += t.Coef
+			continue
+		}
+		row[k] = t
+		k++
+	}
+	p.slab = p.slab[:start+k]
+	p.cons = append(p.cons, constraint{name: name, rel: rel, rhs: rhs, terms: row[:k:k]})
+}
+
+// termIndex returns the position of v in row, or -1.
+func termIndex(row []Term, v VarID) int {
+	for i, t := range row {
+		if t.Var == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// Grow reserves room for vars more variables, rows more constraints and
+// terms more constraint terms, for a caller that knows the size of the
+// problem it is about to build: AddVar and AddConstraint then append
+// without regrowing, and the terms are carved from slabs sized to what is
+// still to come instead of doubling. It is a hint; adding more or less is
+// allowed.
+func (p *Problem) Grow(vars, rows, terms int) {
+	p.vars = slices.Grow(p.vars, vars)
+	p.cons = slices.Grow(p.cons, rows)
+	p.reserved += terms
 }
 
 // minSlab and maxSlab bound the term slabs AddConstraint allocates (a
-// longer row gets a slab of its own length). 2048 terms are 32 KiB, the
-// largest size class of the runtime's small-object allocator; doubling
-// without a cap left up to half of a paper-scale S1 problem's last slab
-// unused.
+// longer row gets a slab of its own length). 2047 terms are 32,752 bytes,
+// just under the 32,760 bytes above which the runtime allocates an object
+// as a large object (with its own span, zeroing and sweep) instead of from
+// the 32 KiB size class; doubling without a cap left up to half of a
+// paper-scale S1 problem's last slab unused.
 const (
 	minSlab = 64
-	maxSlab = 2048
+	maxSlab = maxPieceBytes / int(unsafe.Sizeof(Term{}))
 )
 
 // Clone returns a deep copy of p; bound changes on the clone do not affect
@@ -321,7 +381,6 @@ type Solution struct {
 	Iterations int
 
 	x []float64
-	y []float64
 }
 
 // Value returns the optimal value of v. It returns 0 for non-Optimal
@@ -331,17 +390,6 @@ func (s *Solution) Value(v VarID) float64 {
 		return 0
 	}
 	return s.x[v]
-}
-
-// Dual returns the simplex multiplier of constraint i (in the order
-// constraints were added): the sensitivity ∂Objective/∂rhs_i at the
-// optimum. For degenerate optima the multiplier is one valid member of the
-// dual optimal set. It returns 0 for non-Optimal solutions.
-func (s *Solution) Dual(i int) float64 {
-	if s.Status != Optimal || i < 0 || i >= len(s.y) {
-		return 0
-	}
-	return s.y[i]
 }
 
 // Values returns a copy of the full primal solution vector (structural
@@ -428,15 +476,10 @@ func (p *Problem) validateForSolve() (*Solution, error) {
 }
 
 // solution assembles the Solution of an engine that ended with status st
-// on p: iterations always, values, duals, and objective when optimal.
+// on p: iterations always, values and objective when optimal.
 func (p *Problem) solution(e *revisedEngine, st Status) *Solution {
 	sol := &Solution{Status: st, Iterations: e.iters}
 	if st == Optimal {
-		sign := 1.0
-		if p.sense == Maximize {
-			sign = -1.0
-		}
-		sol.y = e.duals(sign)
 		sol.x = e.structuralValues()
 		obj := 0.0
 		for j, v := range p.vars {

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"runtime/metrics"
 	"testing"
 
 	"greencell/internal/rng"
@@ -81,5 +82,42 @@ func BenchmarkSolveSchedulingShaped(b *testing.B) {
 		if sol, err := p.Solve(); err != nil || sol.Status != Optimal {
 			b.Fatalf("err=%v status", err)
 		}
+	}
+}
+
+// TestEngineMakesNoLargeObjects builds, solves and refactorizes a cold
+// engine for an S1-shaped LP whose refactorization workspace (2m²
+// floats) and column storage would each be large objects in one piece,
+// and requires that none of its arrays exceeds 32,760 bytes, above which
+// the runtime serves it as a large object. The runtime counts large
+// allocations in the last bucket of its allocation-size histogram.
+func TestEngineMakesNoLargeObjects(t *testing.T) {
+	p := s1ShapedLP(rng.New(5), 60, 3, 3)
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs-by-size:bytes"}}
+	large := func() uint64 {
+		metrics.Read(sample)
+		h := sample[0].Value.Float64Histogram()
+		return h.Counts[len(h.Counts)-1]
+	}
+	before := large()
+	e := newRevised(p)
+	if st := e.solve(); st != Optimal {
+		t.Fatalf("status %v", st)
+	}
+	if !e.refactorize() {
+		t.Fatal("refactorization failed")
+	}
+	n := large() - before
+	nnz := 0
+	for j := 0; j < e.n; j++ {
+		rows, _ := e.col(j)
+		nnz += len(rows)
+	}
+	t.Logf("m = %d, %d structural nonzeros, %d explicit inverse columns", e.m, nnz, len(e.explicit))
+	if 2*e.m*e.m*8 <= 32760 || nnz*8 <= 32760 {
+		t.Fatalf("LP too small to need pieces: m = %d, %d nonzeros", e.m, nnz)
+	}
+	if n > 0 {
+		t.Fatalf("a cold solve and a refactorization made %d large objects (over 32,760 bytes), want 0", n)
 	}
 }

@@ -157,3 +157,25 @@ func TestValidationReportsFirstBadRow(t *testing.T) {
 		t.Fatalf("after mending row a: error %v, want %q", err, want)
 	}
 }
+
+// TestGrowSizesSlabs: after Grow announces a problem's size, its variables
+// and rows are added without regrowing, and its terms land in one slab of
+// exactly the announced length, repeats merged included.
+func TestGrowSizesSlabs(t *testing.T) {
+	p := NewProblem(Maximize)
+	p.Grow(3, 2, 5)
+	vars, cons := cap(p.vars), cap(p.cons)
+	x := p.AddVar("x", 0, 10, 1)
+	y := p.AddVar("y", 0, 10, 1)
+	z := p.AddVar("z", 0, 10, 1)
+	p.AddConstraint("a", LE, 4, Term{x, 1}, Term{y, 2}, Term{x, 1})
+	p.AddConstraint("b", LE, 6, Term{z, 3}, Term{y, 1})
+	if cap(p.vars) != vars || cap(p.cons) != cons {
+		t.Fatalf("capacities %d, %d after adding, %d, %d after Grow", cap(p.vars), cap(p.cons), vars, cons)
+	}
+	if cap(p.slab) != 5 || len(p.slab) != 4 {
+		t.Fatalf("term slab len %d cap %d, want one slab of the 5 announced terms (4 after the merge)", len(p.slab), cap(p.slab))
+	}
+	sol, err := p.Solve()
+	requireStatus(t, sol, err, Optimal)
+}

@@ -13,9 +13,6 @@ type presolved struct {
 	varMap []int
 	// fixedVal[j] is the value of a substituted variable.
 	fixedVal []float64
-	// rowMap[i] is the reduced index of original row i, or -1 when the row
-	// became empty and was dropped (its dual is 0).
-	rowMap []int
 	// infeasible is set when a dropped row's residual was inconsistent.
 	infeasible bool
 	// identity is set when nothing was reduced (solve the original).
@@ -25,14 +22,11 @@ type presolved struct {
 // presolve substitutes fixed variables (lo == hi) out of the problem and
 // drops rows that become empty, checking their consistency. These are the
 // only transformations applied: they shrink the one-shot LPs of
-// branch-and-bound (which pins more variables at every node) while leaving
-// every remaining row's dual multiplier unchanged, so dual recovery needs
-// no adjustment.
+// branch-and-bound, which pins more variables at every node.
 func presolve(p *Problem) *presolved {
 	ps := &presolved{
 		varMap:   make([]int, len(p.vars)),
 		fixedVal: make([]float64, len(p.vars)),
-		rowMap:   make([]int, len(p.cons)),
 	}
 	nFixed := 0
 	for j, v := range p.vars {
@@ -62,7 +56,7 @@ func presolve(p *Problem) *presolved {
 		maxTerms = max(maxTerms, len(c.terms))
 	}
 	terms := make([]Term, 0, maxTerms)
-	for i, c := range p.cons {
+	for _, c := range p.cons {
 		terms = terms[:0]
 		rhs := c.rhs
 		for _, t := range c.terms {
@@ -88,10 +82,8 @@ func presolve(p *Problem) *presolved {
 				ps.infeasible = true
 				return ps
 			}
-			ps.rowMap[i] = -1
 			continue
 		}
-		ps.rowMap[i] = red.NumConstraints()
 		red.AddConstraint(c.name, c.rel, rhs, terms...)
 	}
 	ps.reduced = red
@@ -117,11 +109,5 @@ func (ps *presolved) expand(p *Problem, sol *Solution) *Solution {
 		obj += v.cost * out.x[j]
 	}
 	out.Objective = obj
-	out.y = make([]float64, len(p.cons))
-	for i := range p.cons {
-		if ri := ps.rowMap[i]; ri >= 0 && ri < len(sol.y) {
-			out.y[i] = sol.y[ri]
-		}
-	}
 	return out
 }

@@ -1,6 +1,10 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"unsafe"
+)
 
 // Numerical tolerances for the simplex engine.
 const (
@@ -30,33 +34,42 @@ const (
 // multiplies B⁻¹ by an eta matrix that differs from I only in column
 // leave, so from the slack basis column c stays e_c until row c becomes a
 // pivot row, and a cold solve of k pivots holds at most k explicit
-// columns. Pricing scatters the rows of A where the multipliers are
-// nonzero (in phase 2, only the explicit columns' rows), so an iteration
-// costs the nonzeros it multiplies rather than all of A. The test suite
-// cross-validates the engine against a dense full-tableau reference on
-// thousands of random LPs.
+// columns. Pricing scatters the problem's own rows where the multipliers
+// are nonzero (in phase 2, only the explicit columns' rows), so an
+// iteration costs the nonzeros it multiplies rather than all of A. The
+// test suite cross-validates the engine against a dense full-tableau
+// reference on thousands of random LPs.
 type revisedEngine struct {
 	m    int // rows
 	n    int // structural columns
 	ncol int // total columns (with slacks and artificials)
 
-	// cols[j] is column j of the setup matrix A in sparse form.
-	cols []sparseCol
-	// rowStart, rowCol and rowVal hold the final setup matrix (after
-	// equilibration and row flips, artificials included) by rows: row r's
-	// entries are rowCol/rowVal[rowStart[r]:rowStart[r+1]], columns
-	// ascending. Pricing scatters over them (rowProducts).
-	rowStart []int
-	rowCol   []int
-	rowVal   []float64
+	// rows are the problem's constraints. Their terms are row r of the
+	// setup matrix before equilibration and flips, which rowMult[r] folds
+	// in: pricing scatters them (rowProducts).
+	rows []constraint
+	// The setup matrix A by columns (after equilibration and row flips,
+	// artificials included), in compressed sparse column form over
+	// pieces: column j is the colLen[j] entries from colAt[j] of one
+	// piece, addressed piece<<colShift | offset, rows in colRows and
+	// values in colVals. col returns it.
+	colAt    []int32
+	colLen   []int32
+	colShift uint
+	colRows  [][]int32
+	colVals  [][]float64
+	// slackOf and artOf map each row to its slack and artificial columns,
+	// −1 where it has none.
+	slackOf []int
+	artOf   []int
 	// binv is the basis inverse B^{-1} by columns. A nil column is the unit
 	// column e_c: columns start implicit and are materialized by
 	// materialize on first write, and every reader treats a nil column as
 	// e_c. explicit lists the columns that are not nil.
 	binv     [][]float64
 	explicit []int
-	// colSlab is zeroed room for columns yet to be materialized.
-	colSlab []float64
+	// colPieces is the room for columns yet to be materialized.
+	colPieces pieces[float64]
 	// cost is the phase-2 objective (sense-adjusted to minimize).
 	cost []float64
 
@@ -75,7 +88,8 @@ type revisedEngine struct {
 	// solve budget from Problem.SetIterationLimit).
 	limit int
 
-	// rowMult maps final setup rows back to the user's rows for duals.
+	// rowMult is the factor (equilibration scale, negated on a flipped
+	// row) that takes a user row to its setup row.
 	rowMult []float64
 	// bvec is the setup right-hand side (post equilibration and flips),
 	// kept for refactorization.
@@ -85,6 +99,9 @@ type revisedEngine struct {
 	// across solves: a WarmSolver re-solve inherits the drift of the pivots
 	// before it and refactorizes when the count crosses the cadence.
 	stalePivots int
+	// refacFailed records that the last refactorization inside a solve
+	// failed (refactorizeOrStop).
+	refacFailed bool
 
 	// journalSynced records that this engine's bounds/costs/rhs mirror the
 	// problem exactly and the problem's edit journal covers everything that
@@ -112,17 +129,43 @@ type revisedEngine struct {
 	refacWork [][]float64 // m×2m Gauss-Jordan workspace for refactorize
 }
 
-type sparseCol struct {
-	idx []int
-	val []float64
+// maxPieceBytes is the largest array an engine allocates while it solves
+// (and the largest term slab of a Problem): the runtime serves anything
+// above 32,760 bytes — its largest small size class, 32 KiB, less the
+// malloc header — as a large object, with a span of its own, a locked
+// page allocation, eager zeroing and a sweep of its own, which made the
+// allocator and the GC the largest cost of building a cold engine.
+const maxPieceBytes = 32760
+
+// pieces hands out exact-length arrays carved from pieces of at most
+// maxPieceBytes. left is the number of elements still to be handed out,
+// and a new piece is sized to it, up to that cap, so the last piece holds
+// exactly what remains. An array longer than a piece gets one of its own
+// length. A piece is fresh memory, so every array comes out zeroed.
+type pieces[T any] struct {
+	cur  []T
+	left int
 }
 
-func (c *sparseCol) add(row int, v float64) {
-	if v == 0 {
-		return
+func (s *pieces[T]) take(k int) []T {
+	if len(s.cur) < k {
+		var zero T
+		per := maxPieceBytes / int(unsafe.Sizeof(zero))
+		s.cur = make([]T, max(k, min(s.left, per)))
 	}
-	c.idx = append(c.idx, row)
-	c.val = append(c.val, v)
+	a := s.cur[:k:k]
+	s.cur = s.cur[k:]
+	s.left -= k
+	return a
+}
+
+// col returns column j of the setup matrix: its rows, ascending, and its
+// values.
+func (e *revisedEngine) col(j int) ([]int32, []float64) {
+	at := int(e.colAt[j])
+	p, o := at>>e.colShift, at&(1<<e.colShift-1)
+	end := o + int(e.colLen[j])
+	return e.colRows[p][o:end], e.colVals[p][o:end]
 }
 
 // newEngineShell builds the structural and slack columns of p in sparse,
@@ -130,157 +173,101 @@ func (c *sparseCol) add(row int, v float64) {
 // constructor newRevised (which adds row flips and artificials on top) and
 // the basis-import constructor newRevisedFromBasis (which installs a
 // caller-provided basis instead). It leaves the equilibrated, unflipped
-// right-hand side in bvec, and slackOf maps each row to its slack column
-// (−1 for EQ rows).
+// right-hand side in bvec.
 //
-// Every float and int array the engine and its constructors use is carved
-// from one float slab and one int slab, sized up front: ncap = n+2m bounds
-// structural, slack, and artificial columns together, so addCol's appends
-// stay within each array's carved capacity, and total+m bounds the entries
-// of the final setup matrix (artificials add at most one per row), so the
-// row copy buildRows fills fits its carved arrays.
-func newEngineShell(p *Problem) (e *revisedEngine, slackOf []int) {
+// The columns are built in two passes over p's rows (which list each
+// variable once). The first finds each row's largest |coefficient|, which
+// sets its equilibration, and counts each column's nonzero scaled entries;
+// the second scatters them. Every array is exact-size and carved from
+// pieces (see pieces): ncap = n + (slack columns) + m bounds the columns,
+// since a cold start adds at most one artificial per row, so addCol's
+// appends stay within each array's carved capacity.
+func newEngineShell(p *Problem) *revisedEngine {
 	m := len(p.cons)
 	n := len(p.vars)
-	ncap := n + 2*m
-
-	// Each term is at most one structural entry, and every slack column
-	// holds one.
-	total := 0
+	ncap := n + m
 	for _, c := range p.cons {
-		total += len(c.terms)
 		if c.rel != EQ {
-			total++
+			ncap++
 		}
 	}
-	fs := make([]float64, 2*total+10*m+7*ncap)
-	is := make([]int, 2*total+3*n+8*m+1)
-	takeF := func(k int) []float64 {
-		s := fs[:k:k]
-		fs = fs[k:]
-		return s
-	}
-	takeI := func(k int) []int {
-		s := is[:k:k]
-		is = is[k:]
-		return s
-	}
-	idxSlab, valSlab := takeI(total), takeF(total)
-
-	e = &revisedEngine{
+	fs := pieces[float64]{left: 7*m + 7*ncap}
+	is := pieces[int]{left: 7 * m}
+	js := pieces[int32]{left: 2 * ncap}
+	e := &revisedEngine{
 		m: m, n: n,
 		limit:    p.maxIters,
-		rowMult:  takeF(m),
-		bvec:     takeF(m),
-		xB:       takeF(m),
-		y:        takeF(m),
-		rho:      takeF(m),
-		dir:      takeF(m),
-		resid:    takeF(m),
-		lo:       takeF(ncap)[:n],
-		hi:       takeF(ncap)[:n],
-		cost:     takeF(ncap)[:n],
-		xval:     takeF(ncap)[:n],
-		cvec:     takeF(ncap),
-		yA:       takeF(ncap),
-		rhoA:     takeF(ncap),
-		rowVal:   takeF(total + m)[:0],
-		basis:    takeI(m),
-		pivNZ:    takeI(2 * m)[:0],
-		costRows: takeI(m)[:0],
-		explicit: takeI(m)[:0],
-		rowStart: takeI(m + 1),
-		rowCol:   takeI(total + m)[:0],
+		rows:     p.cons[:m:m],
+		rowMult:  fs.take(m),
+		bvec:     fs.take(m),
+		xB:       fs.take(m),
+		y:        fs.take(m),
+		rho:      fs.take(m),
+		dir:      fs.take(m),
+		resid:    fs.take(m),
+		lo:       fs.take(ncap)[:n],
+		hi:       fs.take(ncap)[:n],
+		cost:     fs.take(ncap)[:n],
+		xval:     fs.take(ncap)[:n],
+		cvec:     fs.take(ncap),
+		yA:       fs.take(ncap),
+		rhoA:     fs.take(ncap),
+		basis:    is.take(m),
+		pivNZ:    is.take(2 * m)[:0],
+		costRows: is.take(m)[:0],
+		explicit: is.take(m)[:0],
+		slackOf:  is.take(m),
+		artOf:    is.take(m),
+		colAt:    js.take(ncap),
+		colLen:   js.take(ncap),
 		status:   make([]colStatus, n, ncap),
 	}
-	for i := range e.rowMult {
-		e.rowMult[i] = 1
-	}
+	// Room for the inverse columns, carved as they materialize: at most m.
+	e.colPieces = pieces[float64]{left: m * m}
 
 	sign := 1.0
 	if p.sense == Maximize {
 		sign = -1.0
 	}
 
-	// Column storage is carved from the index and value slabs: each
-	// variable's term count (duplicates included) bounds its entries.
-	// take hands out an empty column with room for k entries.
-	nnzOf := takeI(n)
-	for _, c := range p.cons {
-		for _, t := range c.terms {
-			nnzOf[t.Var]++
-		}
-	}
-	take := func(k int) sparseCol {
-		c := sparseCol{idx: idxSlab[:0:k], val: valSlab[:0:k]}
-		idxSlab, valSlab = idxSlab[k:], valSlab[k:]
-		return c
-	}
-
-	// Structural columns straight from the constraint terms, duplicate
-	// variables summed in place (lastRow/lastPos find a duplicate of the
-	// current row in O(1) because terms arrive row by row).
-	e.cols = make([]sparseCol, n, ncap)
-	for j, k := range nnzOf {
-		e.cols[j] = take(k)
-	}
-	lastRow := takeI(n)
-	lastPos := takeI(n)
-	for j := range lastRow {
-		lastRow[j] = -1
-	}
-	rhs := e.bvec
+	// Pass 1: row equilibration over the structural coefficients, and the
+	// count of each column's entries that stay nonzero once scaled.
 	for i, c := range p.cons {
-		rhs[i] = c.rhs
+		mx := 0.0
 		for _, t := range c.terms {
-			j := int(t.Var)
-			if lastRow[j] == i {
-				e.cols[j].val[lastPos[j]] += t.Coef
-			} else {
-				lastRow[j] = i
-				lastPos[j] = len(e.cols[j].idx)
-				e.cols[j].idx = append(e.cols[j].idx, i)
-				e.cols[j].val = append(e.cols[j].val, t.Coef)
+			if a := math.Abs(t.Coef); a > mx {
+				mx = a
 			}
 		}
-	}
-
-	// Row equilibration over the structural coefficients.
-	rowScale := takeF(m)
-	rowMax := takeF(m)
-	for i := range rowScale {
-		rowScale[i] = 1
-	}
-	for j := 0; j < n; j++ {
-		col := &e.cols[j]
-		for k, i := range col.idx {
-			if a := math.Abs(col.val[k]); a > rowMax[i] {
-				rowMax[i] = a
-			}
-		}
-	}
-	for i, mx := range rowMax {
+		s := 1.0
 		if mx > 0 && (mx < 1e-3 || mx > 1e3) {
-			inv := 1 / mx
-			rowScale[i] = inv
-			rhs[i] *= inv
-			e.rowMult[i] *= inv
+			s = 1 / mx
+		}
+		e.rowMult[i] = s
+		e.bvec[i] = c.rhs * s
+		for _, t := range c.terms {
+			if t.Coef*s != 0 {
+				e.colLen[t.Var]++
+			}
 		}
 	}
-	// Scale the columns and drop entries whose duplicates summed to zero
-	// (the dense staging path never materialized those as sparse entries).
-	for j := 0; j < n; j++ {
-		col := &e.cols[j]
-		w := 0
-		for k, i := range col.idx {
-			v := col.val[k] * rowScale[i]
-			if v == 0 {
-				continue
+	// Every slack and artificial column holds one entry.
+	for j := n; j < ncap; j++ {
+		e.colLen[j] = 1
+	}
+	e.placeColumns()
+
+	// Pass 2: scatter the scaled entries, rows ascending within each column.
+	for j := range e.colLen {
+		e.colLen[j] = 0
+	}
+	for i, c := range p.cons {
+		s := e.rowMult[i]
+		for _, t := range c.terms {
+			if v := t.Coef * s; v != 0 {
+				e.push(int(t.Var), i, v)
 			}
-			col.idx[w], col.val[w] = i, v
-			w++
 		}
-		col.idx, col.val = col.idx[:w], col.val[:w]
 	}
 
 	for j, v := range p.vars {
@@ -295,71 +282,102 @@ func newEngineShell(p *Problem) (e *revisedEngine, slackOf []int) {
 
 	// Slack columns, in row order: the canonical column layout a Basis
 	// snapshot refers to is structural 0..n−1 followed by these.
-	slackOf = takeI(m)
-	for i := range slackOf {
-		slackOf[i] = -1
-	}
 	for i, c := range p.cons {
+		e.slackOf[i], e.artOf[i] = -1, -1
 		switch c.rel {
 		case LE:
-			j := e.addCol(0, math.Inf(1), 0, take(1))
-			e.cols[j].add(i, 1)
-			slackOf[i] = j
+			e.slackOf[i] = e.addCol(i, 1)
 		case GE:
-			j := e.addCol(0, math.Inf(1), 0, take(1))
-			e.cols[j].add(i, -1)
-			slackOf[i] = j
+			e.slackOf[i] = e.addCol(i, -1)
 		}
 	}
-	return e, slackOf
+	return e
 }
 
-// addCol appends a nonbasic column at its lower bound and returns its
-// index.
-func (e *revisedEngine) addCol(lo, hi, cost float64, col sparseCol) int {
-	e.lo = append(e.lo, lo)
-	e.hi = append(e.hi, hi)
-	e.cost = append(e.cost, cost)
+// placeColumns lays out the columns, whose lengths colLen holds, over
+// pieces of at most maxPieceBytes of values: each column is consecutive
+// within one piece, and a piece holds the columns that fit in it in
+// order, so it is exactly as long as they are. colLen is left as it was.
+func (e *revisedEngine) placeColumns() {
+	perPiece := max(maxPieceBytes/8, e.m) // a column never exceeds m entries
+	e.colShift = uint(bits.Len(uint(perPiece)))
+	total := 0
+	for _, k := range e.colLen {
+		total += int(k)
+	}
+	rs := pieces[int32]{left: total}
+	vs := pieces[float64]{left: total}
+	piece, at := 0, 0
+	for j, k := range e.colLen {
+		if at+int(k) > perPiece {
+			e.colRows = append(e.colRows, rs.take(at))
+			e.colVals = append(e.colVals, vs.take(at))
+			piece, at = piece+1, 0
+		}
+		e.colAt[j] = int32(piece<<e.colShift | at)
+		at += int(k)
+	}
+	e.colRows = append(e.colRows, rs.take(at))
+	e.colVals = append(e.colVals, vs.take(at))
+}
+
+// push appends the entry (row, v) to column j.
+func (e *revisedEngine) push(j, row int, v float64) {
+	at := int(e.colAt[j]) + int(e.colLen[j])
+	p, o := at>>e.colShift, at&(1<<e.colShift-1)
+	e.colRows[p][o], e.colVals[p][o] = int32(row), v
+	e.colLen[j]++
+}
+
+// addCol appends a nonbasic column at its lower bound [0, +Inf) with zero
+// cost and the single entry v in row, and returns its index.
+func (e *revisedEngine) addCol(row int, v float64) int {
+	j := len(e.status)
+	e.lo = append(e.lo, 0)
+	e.hi = append(e.hi, math.Inf(1))
+	e.cost = append(e.cost, 0)
 	e.status = append(e.status, atLower)
-	e.xval = append(e.xval, lo)
-	e.cols = append(e.cols, col)
-	return len(e.status) - 1
+	e.xval = append(e.xval, 0)
+	e.push(j, row, v)
+	return j
 }
 
 // newRevised builds a cold engine: equality form, equilibrated rows,
 // slacks, artificials, and the slack/artificial starting basis. Columns are
 // built directly in sparse form, with no dense staging matrix.
 func newRevised(p *Problem) *revisedEngine {
-	e, slackOf := newEngineShell(p)
+	e := newEngineShell(p)
 	m, n := e.m, e.n
-	flip := make([]bool, m)
 
 	// Initial basis: slack where its value is admissible, else artificial,
-	// flipping rows so basic values are non-negative. The residuals
+	// flipping rows so basic values are non-negative. A flipped row's
+	// rowMult turns negative (it is positive before). The residuals
 	// rhs − Σ_j A_j x_j accumulate column-by-column in ascending j — the
 	// same per-row subtraction order as a dense row scan.
 	residual := e.resid // recomputeXB's scratch, free until the first solve
 	copy(residual, e.bvec)
 	for j := 0; j < n; j++ {
-		if e.xval[j] == 0 {
+		x := e.xval[j]
+		if x == 0 {
 			continue
 		}
-		col := &e.cols[j]
-		for k, i := range col.idx {
-			residual[i] -= col.val[k] * e.xval[j]
+		rows, vals := e.col(j)
+		for k, i := range rows {
+			residual[i] -= vals[k] * x
 		}
 	}
+	flips := false
 	for i, c := range p.cons {
 		r := residual[i]
-		if s := slackOf[i]; s >= 0 {
+		if s := e.slackOf[i]; s >= 0 {
 			coef := 1.0
 			if c.rel == GE {
 				coef = -1.0
 			}
-			sv := r / coef
-			if sv >= 0 {
+			if sv := r / coef; sv >= 0 {
 				if coef < 0 {
-					flip[i] = true
+					e.flip(i)
+					flips = true
 				}
 				e.status[s] = basic
 				e.basis[i] = s
@@ -368,38 +386,35 @@ func newRevised(p *Problem) *revisedEngine {
 			}
 		}
 		if r < 0 {
-			flip[i] = !flip[i]
+			e.flip(i)
+			flips = true
 			r = -r
 		}
-		j := e.addCol(0, math.Inf(1), 0, sparseCol{})
 		// The artificial enters post-flip with +1.
-		e.cols[j].add(i, 1)
+		j := e.addCol(i, 1)
+		e.artOf[i] = j
 		e.status[j] = basic
 		e.basis[i] = j
 		e.xB[i] = r
 	}
 	// The artificial region starts after structural + slack columns.
 	e.artStart = n
-	for i := range slackOf {
-		if slackOf[i] >= 0 {
+	for _, s := range e.slackOf {
+		if s >= 0 {
 			e.artStart++
 		}
 	}
 	// Apply row flips to structural and slack columns. Artificials were
 	// added with +1 after their row's flip was decided, so they are
 	// excluded.
-	for j := 0; j < e.artStart; j++ {
-		col := &e.cols[j]
-		for k, i := range col.idx {
-			if flip[i] {
-				col.val[k] = -col.val[k]
+	if flips {
+		for j := 0; j < e.artStart; j++ {
+			rows, vals := e.col(j)
+			for k, i := range rows {
+				if e.rowMult[i] < 0 {
+					vals[k] = -vals[k]
+				}
 			}
-		}
-	}
-	for i, f := range flip {
-		if f {
-			e.rowMult[i] = -e.rowMult[i]
-			e.bvec[i] = -e.bvec[i]
 		}
 	}
 
@@ -411,42 +426,26 @@ func newRevised(p *Problem) *revisedEngine {
 	e.binv = make([][]float64, m)
 
 	e.cvec = e.cvec[:e.ncol]
-	e.buildRows()
 	e.syncJournal(p) // built from p's current state: pending edits covered
 	return e
 }
 
-// buildRows fills the row copy of the final setup matrix. Columns are
-// visited in ascending order, so each row lists its columns ascending.
-func (e *revisedEngine) buildRows() {
-	start := e.rowStart
-	for j := 0; j < e.ncol; j++ {
-		for _, i := range e.cols[j].idx {
-			start[i+1]++
-		}
-	}
-	for i := 0; i < e.m; i++ {
-		start[i+1] += start[i]
-	}
-	nnz := start[e.m]
-	e.rowCol, e.rowVal = e.rowCol[:nnz], e.rowVal[:nnz]
-	next := e.costRows[:e.m] // computeY's scratch, free until the first solve
-	copy(next, start)
-	for j := 0; j < e.ncol; j++ {
-		col := &e.cols[j]
-		for k, i := range col.idx {
-			e.rowCol[next[i]], e.rowVal[next[i]] = j, col.val[k]
-			next[i]++
-		}
-	}
+// flip negates row i of the setup problem: its multiplier and right-hand
+// side here, its column entries once every flip is known.
+func (e *revisedEngine) flip(i int) {
+	e.rowMult[i] = -e.rowMult[i]
+	e.bvec[i] = -e.bvec[i]
 }
 
 // rowProducts sets out[j] = A_j·v for every column j by scattering the
-// rows r with v[r] ≠ 0, in ascending r. Column j thus receives its
-// products in the order of its own (ascending) entries, the order a
-// column-by-column dot product sums them in, and a skipped row adds only
-// an exact zero to a sum that starts at +0: out[j] is bit-identical to
-// that dot product, at the cost of the rows v touches instead of all of A.
+// rows r with v[r] ≠ 0, in ascending r: the terms of p's row r, each
+// scaled by rowMult[r] (bit for bit the entry column j stores), then its
+// slack and artificial entries. Column j thus receives its products in
+// the order of its own (ascending) entries, the order a column-by-column
+// dot product sums them in, and a skipped row, or an entry the columns
+// drop as zero, adds only an exact zero to a sum that starts at +0: out[j]
+// is bit-identical to that dot product, at the cost of the rows v touches
+// instead of all of A.
 func (e *revisedEngine) rowProducts(v, out []float64) {
 	out = out[:e.ncol]
 	for j := range out {
@@ -456,10 +455,16 @@ func (e *revisedEngine) rowProducts(v, out []float64) {
 		if vr == 0 {
 			continue
 		}
-		lo, hi := e.rowStart[r], e.rowStart[r+1]
-		vals := e.rowVal[lo:hi]
-		for k, j := range e.rowCol[lo:hi] {
-			out[j] += vals[k] * vr
+		s := e.rowMult[r]
+		for _, t := range e.rows[r].terms {
+			out[t.Var] += t.Coef * s * vr
+		}
+		if j := e.slackOf[r]; j >= 0 {
+			_, vals := e.col(j)
+			out[j] += vals[0] * vr
+		}
+		if j := e.artOf[r]; j >= 0 {
+			out[j] += vr // the artificial's +1
 		}
 	}
 }
@@ -467,29 +472,10 @@ func (e *revisedEngine) rowProducts(v, out []float64) {
 // materialize makes column c of B^{-1} explicit as the unit column e_c
 // and returns it.
 func (e *revisedEngine) materialize(c int) []float64 {
-	col := e.takeCol()
+	col := e.colPieces.take(e.m)
 	col[c] = 1
 	e.binv[c] = col
 	e.explicit = append(e.explicit, c)
-	return col
-}
-
-// colChunkBytes bounds one refill of colSlab: 32 KiB, the largest size
-// class of the runtime's small-object allocator.
-const colChunkBytes = 32 << 10
-
-// takeCol carves one zeroed m-long column from colSlab. An exhausted slab
-// is refilled with as many columns as fit in colChunkBytes (at least one),
-// but never more than are still implicit. A solve that materializes k
-// columns thus allocates about k/chunk slabs and at most one chunk of
-// columns it never uses.
-func (e *revisedEngine) takeCol() []float64 {
-	m := e.m
-	if len(e.colSlab) < m {
-		e.colSlab = make([]float64, min(max(colChunkBytes/(8*m), 1), m-len(e.explicit))*m)
-	}
-	col := e.colSlab[:m:m]
-	e.colSlab = e.colSlab[m:]
 	return col
 }
 
@@ -502,9 +488,9 @@ func (e *revisedEngine) applyBinv(j int, dst []float64) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	col := &e.cols[j]
-	for k, r := range col.idx {
-		v := col.val[k]
+	rows, vals := e.col(j)
+	for k, r := range rows {
+		v := vals[k]
 		b := e.binv[r]
 		if b == nil {
 			dst[r] += v // the unit column e_r
@@ -628,7 +614,9 @@ func (e *revisedEngine) iterate() Status {
 	for iter := 0; iter < maxIter; iter++ {
 		bland := iter >= blandAfter
 		if pivots > 0 && pivots%64 == 0 {
-			e.refactorize()
+			if !e.refactorizeOrStop() {
+				return IterationLimit
+			}
 			pivots++ // avoid refactorizing repeatedly on bound-flip loops
 		}
 		e.computeY()
@@ -647,12 +635,13 @@ func (e *revisedEngine) iterate() Status {
 			}
 			dot := e.yA[j]
 			dj := e.cvec[j] - dot
-			if dj == 0 {
-				continue // scores 0, never above priceTol
+			atLo := e.status[j] == atLower
+			if atLo && dj >= 0 || !atLo && dj <= 0 {
+				continue // scores at most 0, never above priceTol
 			}
 			denom := math.Max(1+math.Abs(e.cvec[j])+math.Abs(dot), floor)
 			var score float64
-			if e.status[j] == atLower {
+			if atLo {
 				score = -dj / denom
 			} else {
 				score = dj / denom
@@ -672,11 +661,16 @@ func (e *revisedEngine) iterate() Status {
 			// row operations have accumulated since the last factorization
 			// for drift to be plausible. Warm re-solves finish in a handful
 			// of pivots and must not pay an O(m³) confirmation each; drift
-			// from a few rank-one updates is at machine-epsilon scale.
+			// from a few rank-one updates is at machine-epsilon scale. A
+			// failed refactorization leaves the count where it was, so an
+			// optimum is never declared on an inverse that did not
+			// refactorize: the confirmation repeats and the second failure
+			// ends the solve.
 			if e.stalePivots >= confirmPivots {
-				if e.refactorize() {
-					continue
+				if !e.refactorizeOrStop() {
+					return IterationLimit
 				}
+				continue
 			}
 			e.snap()
 			return Optimal
@@ -827,21 +821,43 @@ func (e *revisedEngine) computeY() {
 	}
 }
 
+// refactorizeOrStop refactorizes inside a solve and reports whether the
+// solve may go on. A failed refactorization leaves the product-form
+// inverse in place, and the solve may pivot on it until its next
+// refactorization: a pivot on an entry that is rounding noise can make B
+// singular while that inverse stays a usable operator, and the dependent
+// column leaves within a few pivots (a paper sf S1 solve of scenario seed
+// 9000764 failed at pivot 64 and confirmed its optimum at pivot 75). A
+// second failure in a row means the basis did not recover, and the solve
+// ends without a verdict (IterationLimit) instead of cycling to the
+// safety cap on a stale inverse.
+func (e *revisedEngine) refactorizeOrStop() bool {
+	if e.refactorize() {
+		e.refacFailed = false
+		return true
+	}
+	if e.refacFailed {
+		return false
+	}
+	e.refacFailed = true
+	return true
+}
+
 // refactorize rebuilds B^{-1} from the basis columns by Gauss-Jordan
 // elimination and recomputes the basic values, absorbing the numerical
 // drift of long pivot sequences. It reports whether the basis matrix was
-// invertible (it always should be; on failure the previous inverse is
-// kept).
+// invertible; a basis that is not (numerically singular) leaves the
+// previous inverse, the basic values and stalePivots as they were.
 func (e *revisedEngine) refactorize() bool {
 	m := e.m
 	// Assemble [B | I] in the cached workspace (a warm solver refactorizes
 	// many times over the engine's lifetime; reallocating m×2m each call
-	// shows up as GC pressure).
+	// shows up as GC pressure). Its rows are carved from pieces.
 	if e.refacWork == nil {
 		e.refacWork = make([][]float64, m)
-		slab := make([]float64, 2*m*m)
+		rows := pieces[float64]{left: 2 * m * m}
 		for i := range e.refacWork {
-			e.refacWork[i], slab = slab[:2*m:2*m], slab[2*m:]
+			e.refacWork[i] = rows.take(2 * m)
 		}
 	}
 	work := e.refacWork
@@ -853,9 +869,9 @@ func (e *revisedEngine) refactorize() bool {
 		row[m+i] = 1
 	}
 	for pos, b := range e.basis {
-		col := &e.cols[b]
-		for k, r := range col.idx {
-			work[r][pos] = col.val[k]
+		rows, vals := e.col(b)
+		for k, r := range rows {
+			work[r][pos] = vals[k]
 		}
 	}
 	for colIdx := 0; colIdx < m; colIdx++ {
@@ -935,12 +951,13 @@ func (e *revisedEngine) recomputeXB() {
 	resid := e.resid
 	copy(resid, e.bvec)
 	for j := 0; j < e.ncol; j++ {
-		if e.status[j] == basic || e.xval[j] == 0 {
+		x := e.xval[j]
+		if e.status[j] == basic || x == 0 {
 			continue
 		}
-		col := &e.cols[j]
-		for k, r := range col.idx {
-			resid[r] -= col.val[k] * e.xval[j]
+		rows, vals := e.col(j)
+		for k, r := range rows {
+			resid[r] -= vals[k] * x
 		}
 	}
 	// xB accumulates the inverse's columns in ascending order, so each
@@ -991,8 +1008,11 @@ const confirmPivots = 64
 // The caller must not have changed p's constraint terms, relations, or
 // dimensions (the column layout and equilibration are frozen at
 // construction). The iteration counter resets: each refresh starts a new
-// solve with a fresh budget, matching one-shot Solve semantics.
-func (e *revisedEngine) refresh(p *Problem) {
+// solve with a fresh budget, matching one-shot Solve semantics. It reports
+// false when a due refactorization fails: the basis is numerically
+// singular, and the caller solves cold instead of pivoting on the stale
+// inverse.
+func (e *revisedEngine) refresh(p *Problem) bool {
 	incremental := e.journalSynced && !p.mutsFull
 	e.limit = p.maxIters
 	e.iters = 0
@@ -1003,17 +1023,17 @@ func (e *revisedEngine) refresh(p *Problem) {
 	}
 	e.syncJournal(p)
 	if e.stalePivots >= confirmPivots {
-		e.refactorize() // also recomputes xB
-		return
+		return e.refactorize() // also recomputes xB
 	}
 	if !incremental {
 		e.recomputeXB()
-		return
+		return true
 	}
 	e.staleRefreshes++
 	if e.staleRefreshes >= confirmPivots {
 		e.recomputeXB() // absorb incremental-update float drift
 	}
+	return true
 }
 
 // syncJournal truncates p's edit journal and marks the engine as covering
@@ -1232,7 +1252,9 @@ func (e *revisedEngine) dualIterate() Status {
 	for iter := 0; iter < maxIter; iter++ {
 		bland := iter >= blandAfter
 		if pivots > 0 && pivots%64 == 0 {
-			e.refactorize()
+			if !e.refactorizeOrStop() {
+				return IterationLimit
+			}
 			pivots++
 		}
 		// Leaving row: largest relative bound violation among the basics.
@@ -1320,7 +1342,9 @@ func (e *revisedEngine) dualIterate() Status {
 		alphaQ := e.dir[r]
 		if math.Abs(alphaQ) <= pivTol {
 			// rho was drifted; refactorize and retry the row selection.
-			e.refactorize()
+			if !e.refactorizeOrStop() {
+				return IterationLimit
+			}
 			pivots++
 			continue
 		}
@@ -1384,15 +1408,4 @@ func (e *revisedEngine) structuralValues() []float64 {
 		}
 	}
 	return x
-}
-
-// duals reads the simplex multipliers directly from y at optimality,
-// mapped back through the row equilibration and flips.
-func (e *revisedEngine) duals(sign float64) []float64 {
-	e.computeY() // y for the final basis under phase-2 costs
-	out := make([]float64, e.m)
-	for i := 0; i < e.m; i++ {
-		out[i] = sign * e.y[i] * e.rowMult[i]
-	}
-	return out
 }

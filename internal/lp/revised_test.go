@@ -29,11 +29,6 @@ func solveDense(p *Problem) (*Solution, error) {
 	t := newTableau(p)
 	sol := &Solution{Status: t.solve(), Iterations: t.iters}
 	if sol.Status == Optimal {
-		sign := 1.0
-		if p.sense == Maximize {
-			sign = -1.0
-		}
-		sol.y = t.duals(sign)
 		sol.x = t.structuralValues()
 		for j, v := range p.vars {
 			sol.Objective += v.cost * sol.x[j]
@@ -139,8 +134,8 @@ func agreementCorpus() []*Problem {
 }
 
 // TestEnginesAgreeOnRandomLPs is the cross-validation harness: the engine
-// and the dense reference must report the same status and (when optimal) the same objective and
-// duals on a large batch of random problems.
+// and the dense reference must report the same status and (when optimal)
+// the same objective on a large batch of random problems.
 func TestEnginesAgreeOnRandomLPs(t *testing.T) {
 	for trial, p := range agreementCorpus() {
 		a, err := solveDense(p)
@@ -218,21 +213,21 @@ func TestRevisedDuals(t *testing.T) {
 	y := p.AddVar("y", 0, math.Inf(1), 2)
 	p.AddConstraint("c1", LE, 4, Term{x, 1}, Term{y, 1})
 	p.AddConstraint("c2", LE, 6, Term{x, 1}, Term{y, 3})
-	sol, err := p.Solve()
-	requireStatus(t, sol, err, Optimal)
-	if got := sol.Dual(0); math.Abs(got-3) > 1e-9 {
+	sol, duals := solveDuals(t, p)
+	requireStatus(t, sol, nil, Optimal)
+	if got := duals[0]; math.Abs(got-3) > 1e-9 {
 		t.Errorf("dual of binding row = %v, want 3", got)
 	}
-	if got := sol.Dual(1); math.Abs(got) > 1e-9 {
+	if got := duals[1]; math.Abs(got) > 1e-9 {
 		t.Errorf("dual of slack row = %v, want 0", got)
 	}
 
 	q := NewProblem(Minimize)
 	z := q.AddVar("z", 0, math.Inf(1), 2)
 	q.AddConstraint("req", GE, 5, Term{z, 1})
-	sol, err = q.Solve()
-	requireStatus(t, sol, err, Optimal)
-	if got := sol.Dual(0); math.Abs(got-2) > 1e-9 {
+	sol, duals = solveDuals(t, q)
+	requireStatus(t, sol, nil, Optimal)
+	if got := duals[0]; math.Abs(got-2) > 1e-9 {
 		t.Errorf("GE dual = %v, want 2", got)
 	}
 }
@@ -278,4 +273,68 @@ func TestPricingScalesWithObjective(t *testing.T) {
 			t.Errorf("%s: %d iterations, dense reference needs %d", name, sol.Iterations, ref.Iterations)
 		}
 	}
+}
+
+// singularize breaks e's optimal basis: a second position takes over a
+// column another position already holds. Both columns are zero-cost
+// slacks, so the multipliers and the pricing stay those of the optimum,
+// and the drift budget is marked spent, so the next optimality
+// confirmation or refresh refactorizes and finds B singular.
+func singularize(t *testing.T, e *revisedEngine) {
+	t.Helper()
+	first := -1
+	for i, b := range e.basis {
+		if b < e.n || b >= e.artStart || e.cost[b] != 0 {
+			continue
+		}
+		if first < 0 {
+			first = i
+			continue
+		}
+		e.basis[i] = e.basis[first]
+		e.stalePivots = confirmPivots
+		return
+	}
+	t.Fatal("fewer than two basic slacks")
+}
+
+// TestSingularBasisEndsSolve: an optimum is never declared on an inverse
+// that failed to refactorize, and a second failure in a row ends the
+// solve without a verdict. Declaring optimal on the stale inverse reports
+// a point nothing confirmed, and pivoting on from it can cycle to the
+// safety cap.
+func TestSingularBasisEndsSolve(t *testing.T) {
+	e := newRevised(s1ShapedLP(rng.New(2), 30, 2, 2))
+	if st := e.solve(); st != Optimal {
+		t.Fatalf("status %v", st)
+	}
+	singularize(t, e)
+	e.iters = 0
+	if st := e.iterate(); st != IterationLimit || e.iters > 2 {
+		t.Fatalf("primal simplex on a singular basis: status %v after %d iterations, want %v within 2",
+			st, e.iters, IterationLimit)
+	}
+}
+
+// TestSingularBasisFallsBackCold: a WarmSolver whose live engine has gone
+// singular refactorizes in its refresh, finds out, and re-solves cold,
+// counting an invalidation; the answer is the cold solve's, bit for bit.
+func TestSingularBasisFallsBackCold(t *testing.T) {
+	p := s1ShapedLP(rng.New(2), 30, 2, 2)
+	w := NewWarmSolver(p)
+	if sol, err := w.Solve(); err != nil || sol.Status != Optimal {
+		t.Fatalf("first solve: %v, %v", sol, err)
+	}
+	singularize(t, w.eng)
+	p.SetVarBounds(0, 0, 0.5)
+	sol, err := w.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, inv := w.Stats(); inv != 1 {
+		t.Fatalf("%d invalidations, want 1 (the singular engine)", inv)
+	}
+	q := p.Clone()
+	f := newRevised(q)
+	requireBitIdentical(t, "fallback vs cold", sol, q.solution(f, f.solve()))
 }

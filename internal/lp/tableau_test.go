@@ -33,16 +33,6 @@ type tableau struct {
 	// limit, when positive, caps iters across both phases (the caller's
 	// solve budget from Problem.SetIterationLimit).
 	limit int
-
-	// Dual recovery bookkeeping. rowMult[i] is the net multiplier taking
-	// the user's original row i to the final setup row (equilibration and
-	// sign flips). dualCol[i]/dualCoef[i] identify a column whose setup
-	// matrix entry is ±1 on row i alone (the row's slack, or its
-	// artificial for equality rows), from whose final reduced cost the
-	// simplex multiplier is read.
-	rowMult  []float64
-	dualCol  []int
-	dualCoef []float64
 }
 
 // newTableau converts p into equality standard form with slacks and
@@ -74,14 +64,6 @@ func newTableau(p *Problem) *tableau {
 		cost:   make([]float64, 0, maxCols),
 		basis:  make([]int, m),
 		xB:     make([]float64, m),
-
-		rowMult:  make([]float64, m),
-		dualCol:  make([]int, m),
-		dualCoef: make([]float64, m),
-	}
-	for i := range t.rowMult {
-		t.rowMult[i] = 1
-		t.dualCol[i] = -1
 	}
 
 	sign := 1.0
@@ -129,7 +111,6 @@ func newTableau(p *Problem) *tableau {
 				}
 			}
 			rhs[i] *= inv
-			t.rowMult[i] *= inv
 		}
 	}
 	slackOf := make([]int, m)
@@ -146,9 +127,6 @@ func newTableau(p *Problem) *tableau {
 			j := t.addCol(0, math.Inf(1), 0)
 			t.T[i][j] = -1
 			slackOf[i] = j
-		}
-		if slackOf[i] >= 0 {
-			t.dualCol[i] = slackOf[i]
 		}
 	}
 
@@ -170,7 +148,6 @@ func newTableau(p *Problem) *tableau {
 				if t.T[i][s] < 0 {
 					scaleRow(t.T[i], -1)
 					rhs[i] = -rhs[i]
-					t.rowMult[i] = -t.rowMult[i]
 				}
 				t.makeBasic(s, i, sv)
 				continue
@@ -181,25 +158,13 @@ func newTableau(p *Problem) *tableau {
 			scaleRow(t.T[i], -1)
 			rhs[i] = -rhs[i]
 			r = -r
-			t.rowMult[i] = -t.rowMult[i]
 		}
 		j := t.addCol(0, math.Inf(1), 0)
 		t.T[i][j] = 1
 		t.makeBasic(j, i, r)
-		if t.dualCol[i] < 0 {
-			t.dualCol[i] = j // equality rows expose duals via the artificial
-		}
 	}
 	t.ncol = len(t.status)
 	t.nart = t.ncol - t.artStart
-	// Record the setup-matrix entry of each row's dual column; reduced
-	// costs are taken against the ORIGINAL columns, so this is read now,
-	// before any pivoting.
-	for i := 0; i < m; i++ {
-		if j := t.dualCol[i]; j >= 0 {
-			t.dualCoef[i] = t.T[i][j]
-		}
-	}
 	// Trim rows to the realized column count.
 	for i := range t.T {
 		t.T[i] = t.T[i][:t.ncol]
@@ -558,22 +523,4 @@ func (t *tableau) structuralValues() []float64 {
 		}
 	}
 	return x
-}
-
-// duals recovers the simplex multipliers for the original constraint rows
-// after an optimal phase-2 solve. For the final setup matrix A, the
-// maintained reduced-cost row is d = c − yᵀA; the dual column of row i has
-// A-entry ±1 on row i alone and zero phase-2 cost, so y_i = −d_col/coef.
-// rowMult maps back to the user's original row orientation and scale.
-func (t *tableau) duals(sign float64) []float64 {
-	out := make([]float64, t.m)
-	for i := 0; i < t.m; i++ {
-		j := t.dualCol[i]
-		if j < 0 || t.dualCoef[i] == 0 {
-			continue
-		}
-		yFinal := -t.d[j] / t.dualCoef[i]
-		out[i] = sign * yFinal * t.rowMult[i]
-	}
-	return out
 }

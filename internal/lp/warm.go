@@ -94,7 +94,11 @@ func (w *WarmSolver) Solve() (*Solution, error) {
 		return w.cold(0)
 	}
 	if w.eng != nil {
-		w.eng.refresh(w.p)
+		if !w.eng.refresh(w.p) {
+			w.eng = nil
+			w.invalidations++
+			return w.cold(0)
+		}
 		if sol, ok := w.warmAttempt(w.eng); ok {
 			return sol, nil
 		}

@@ -210,22 +210,21 @@ func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 	net := req.Net
 	p := lp.NewProblem(lp.Maximize)
 	p.SetIterationLimit(req.MaxLPIterations)
-	ids := make([]lp.VarID, len(pairs))
-	for k, pr := range pairs {
-		ids[k] = p.AddVar("", 0, 1, pr.weight)
-	}
 
 	// One counting pass sizes the row lists of (22), the one-band rule and
 	// (20)/(21), keyed node, link and node·nBands+band in one index space,
-	// and each band's pair list for (24). The lists are carved from one
-	// term slab and one index slab with full slice expressions, so appends
-	// stay in their own room, and filled in ascending pair order, so every
-	// row keeps its terms in pair order.
+	// each band's pair list for (24), and each node's transmitting pairs
+	// per band. The lists are carved from one term slab and one index slab
+	// with full slice expressions, so appends stay in their own room, and
+	// filled in ascending pair order, so every row keeps its terms in pair
+	// order.
 	nNodes, nLinks, nBands := net.NumNodes(), len(net.Links), net.Spectrum.NumBands()
 	lists := make([][]lp.Term, nNodes+nLinks+nNodes*nBands)
 	byNode, byLink, byNodeBand := lists[:nNodes], lists[nNodes:nNodes+nLinks], lists[nNodes+nLinks:]
 	byBand := make([][]int, nBands)
-	count := make([]int, len(lists)+nBands) // list sizes, then band sizes
+	// List sizes, then band sizes, then transmitting pairs per node·band.
+	count := make([]int, len(lists)+nBands+nNodes*nBands)
+	bandSize, txOnBand := count[len(lists):len(lists)+nBands], count[len(lists)+nBands:]
 	for _, pr := range pairs {
 		link := net.Links[pr.link]
 		count[link.From]++
@@ -233,7 +232,48 @@ func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 		count[nNodes+pr.link]++
 		count[nNodes+nLinks+link.From*nBands+pr.band]++
 		count[nNodes+nLinks+link.To*nBands+pr.band]++
-		count[len(lists)+pr.band]++
+		bandSize[pr.band]++
+		txOnBand[link.From*nBands+pr.band]++
+	}
+
+	// coupling reports whether list r makes a row, and its right-hand
+	// side:
+	//   - (22): per node, at most Radios(i) activities across all bands and
+	//     partners (the paper's single-radio rule generalized);
+	//   - a link occupies one band at a time even with several radios;
+	//   - (20)/(21): a node engages a given band at most once (no two
+	//     same-band transmissions from one node, no same-band
+	//     transmit+receive) even when it has several radios. For a single
+	//     radio (22) implies this; with R > 1 it is an independent
+	//     constraint.
+	coupling := func(r int) (float64, bool) {
+		switch {
+		case r < nNodes:
+			return float64(net.Radios(r)), count[r] > net.Radios(r)
+		case r < nNodes+nLinks:
+			return 1, count[r] > 1
+		default:
+			return 1, count[r] > 1 && net.Radios((r-nNodes-nLinks)/nBands) > 1
+		}
+	}
+	// The problem is sized before it is built: the coupling rows, then one
+	// SINR row per pair over itself and its band's pairs of other
+	// transmitters (fewer where an interference coefficient is zero).
+	nRows, nTerms := len(pairs), 0
+	for r := range lists {
+		if _, ok := coupling(r); ok {
+			nRows++
+			nTerms += count[r]
+		}
+	}
+	for _, pr := range pairs {
+		nTerms += 1 + bandSize[pr.band] - txOnBand[net.Links[pr.link].From*nBands+pr.band]
+	}
+	p.Grow(len(pairs), nRows, nTerms)
+
+	ids := make([]lp.VarID, len(pairs))
+	for k, pr := range pairs {
+		ids[k] = p.AddVar("", 0, 1, pr.weight)
 	}
 	slab := make([]lp.Term, 5*len(pairs))
 	for r := range lists {
@@ -243,7 +283,7 @@ func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 	ks := make([]int, len(pairs))
 	maxBand := 0
 	for b := range byBand {
-		c := count[len(lists)+b]
+		c := bandSize[b]
 		byBand[b], ks = ks[:0:c], ks[c:]
 		maxBand = max(maxBand, c)
 	}
@@ -258,35 +298,25 @@ func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 		byBand[pr.band] = append(byBand[pr.band], k)
 	}
 
-	// (22): per node, at most Radios(i) activities across all bands and
-	// partners (the paper's single-radio rule generalized). Rows are added
-	// in node order so the LP is built deterministically (map iteration
-	// would randomize row order and hence tie-breaking).
-	for node, terms := range byNode {
-		if len(terms) > net.Radios(node) {
-			p.AddConstraint("", lp.LE, float64(net.Radios(node)), terms...)
-		}
-	}
-	// A link occupies one band at a time even with several radios.
-	for _, terms := range byLink {
-		if len(terms) > 1 {
-			p.AddConstraint("", lp.LE, 1, terms...)
-		}
-	}
-	// (20)/(21): a node engages a given band at most once (no two
-	// same-band transmissions from one node, no same-band transmit+receive)
-	// even when it has several radios. For a single radio (22) implies
-	// this; with R > 1 it is an independent constraint.
-	for nb, terms := range byNodeBand {
-		if len(terms) > 1 && net.Radios(nb/nBands) > 1 {
-			p.AddConstraint("", lp.LE, 1, terms...)
+	// The coupling rows, in list order: node rows, then link rows, then
+	// node·band rows. Rows are added in index order so the LP is built
+	// deterministically (map iteration would randomize row order and hence
+	// tie-breaking).
+	for r, terms := range lists {
+		if rhs, ok := coupling(r); ok {
+			p.AddConstraint("", lp.LE, rhs, terms...)
 		}
 	}
 
 	// (24): big-M SINR rows, one per pair, interference summed over other
-	// pairs on the same band whose transmitter differs.
+	// pairs on the same band whose transmitter differs. Each node's power
+	// cap is read once.
 	gamma := net.Radio.SINRThreshold
 	eta := net.Radio.NoiseDensity
+	caps := make([]float64, nNodes)
+	for node := range caps {
+		caps[node] = req.maxPower(node)
+	}
 	// One scratch row serves every SINR row: AddConstraint copies its terms.
 	terms := make([]lp.Term, 0, maxBand)
 	for k, pr := range pairs {
@@ -299,11 +329,11 @@ func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 			if other == link.From {
 				continue
 			}
-			bigM += net.Gains[other][link.To] * req.maxPower(other)
+			bigM += net.Gains[other][link.To] * caps[other]
 		}
 		bigM *= gamma
 
-		gP := net.Gains[link.From][link.To] * req.maxPower(link.From)
+		gP := net.Gains[link.From][link.To] * caps[link.From]
 		// Normalize the row to O(1): gains are ~1e-9..1e-12 while objective
 		// weights reach ~1e7, and unscaled rows would drop below the
 		// simplex tolerances and be silently ignored.
@@ -321,7 +351,7 @@ func buildLP(req *Request, pairs []pair) (*lp.Problem, []lp.VarID) {
 			if tx == link.From {
 				continue
 			}
-			coef := gamma * net.Gains[tx][link.To] * req.maxPower(tx)
+			coef := gamma * net.Gains[tx][link.To] * caps[tx]
 			if coef == 0 {
 				continue
 			}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime/metrics"
 	"testing"
 
 	"greencell/internal/rng"
@@ -86,7 +87,34 @@ func TestSequentialFixAllocs(t *testing.T) {
 	}
 }
 
-// maxSFAllocs is TestSequentialFixAllocs' bound: the 120 allocations
-// measured with Go 1.24 on linux/amd64 plus a margin smaller than the nine
-// that a fresh buffer per compatibility check adds on this request.
-const maxSFAllocs = 125
+// maxSFAllocs is TestSequentialFixAllocs' bound: the 99 allocations
+// measured with Go 1.24 on linux/amd64 plus a margin of 5, smaller than
+// the nine that a fresh buffer per compatibility check adds on this
+// request.
+const maxSFAllocs = 104
+
+// TestSequentialFixMakesNoLargeObjects gates the size of every array one
+// SequentialFix schedule of the paper-scale request allocates (term
+// slabs, engine pieces, inverse columns, refactorization rows): none may
+// exceed 32,760 bytes, above which the runtime serves it as a large
+// object, with a span of its own, eager zeroing and a sweep of its own.
+// The runtime counts large allocations in the last bucket of its
+// allocation-size histogram.
+func TestSequentialFixMakesNoLargeObjects(t *testing.T) {
+	req := paperRequest(t)
+	sample := []metrics.Sample{{Name: "/gc/heap/allocs-by-size:bytes"}}
+	large := func() uint64 {
+		metrics.Read(sample)
+		h := sample[0].Value.Float64Histogram()
+		return h.Counts[len(h.Counts)-1]
+	}
+	before := large()
+	for i := 0; i < 3; i++ {
+		if _, err := (SequentialFix{}).Schedule(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := large() - before; n > 0 {
+		t.Fatalf("3 SequentialFix schedules made %d large objects (over 32,760 bytes), want 0", n)
+	}
+}
